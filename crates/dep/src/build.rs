@@ -55,12 +55,12 @@ pub(crate) fn analyze(prog: &Program) -> Result<DepGraph, AnalyzeError> {
 
     sort_and_dedup(&order, &mut edges);
 
-    Ok(DepGraph::from_edges(prog, loops, edges))
+    Ok(DepGraph::from_edges(prog, loops, edges, order))
 }
 
 /// Program order as a dense table indexed by [`StmtId::index`]
-/// (`u32::MAX` = not live). Cheaper than a `HashMap` on the sort hot
-/// path: the comparator extracts keys by plain indexing, no hashing.
+/// (`u32::MAX` = not live). Built once per analysis or update and handed
+/// on to the [`DepGraph`] it produces.
 ///
 /// [`StmtId::index`]: gospel_ir::StmtId::index
 pub(crate) fn dense_order(prog: &Program) -> Vec<u32> {
@@ -71,27 +71,38 @@ pub(crate) fn dense_order(prog: &Program) -> Vec<u32> {
     order
 }
 
-/// The canonical edge order: program position of the endpoints, then
-/// kind, variable and operand slots, then the direction vector by its
-/// display symbols (so ties match the documented `<`/`=`/`>`/`*`
-/// lexicographic convention). Allocation-free — this runs on the
-/// incremental hot path.
-fn edge_cmp(order: &[u32], a: &DepEdge, b: &DepEdge) -> Ordering {
-    (order[a.src.index()], order[a.dst.index()], a.kind as u8, a.var, a.src_pos, a.dst_pos)
-        .cmp(&(order[b.src.index()], order[b.dst.index()], b.kind as u8, b.var, b.src_pos, b.dst_pos))
-        .then_with(|| {
-            a.dirvec
-                .iter()
-                .map(|d| d.symbol())
-                .cmp(b.dirvec.iter().map(|d| d.symbol()))
-        })
+/// The canonical edge order, all but the direction vector packed into one
+/// integer: program position of the endpoints, then kind, variable and
+/// operand slots.
+fn edge_key(order: &[u32], e: &DepEdge) -> u128 {
+    (u128::from(order[e.src.index()]) << 96)
+        | (u128::from(order[e.dst.index()]) << 64)
+        | ((e.kind as u128) << 40)
+        | ((e.var.index() as u128) << 8)
+        | ((e.src_pos.index() as u128) << 4)
+        | e.dst_pos.index() as u128
+}
+
+/// Ties of [`edge_key`] break on the direction vector by its display
+/// symbols, so they match the documented `<`/`=`/`>`/`*` lexicographic
+/// convention.
+fn dir_cmp(a: &DepEdge, b: &DepEdge) -> Ordering {
+    a.dirvec
+        .iter()
+        .map(|d| d.symbol())
+        .cmp(b.dirvec.iter().map(|d| d.symbol()))
 }
 
 /// Deterministic order and deduplication — shared by the full analysis and
 /// the incremental update so the two paths produce bit-identical edge
-/// lists.
+/// lists. Keys are computed once per edge, not once per comparison; the
+/// sort may be unstable because edges equal under the order are equal
+/// outright, and `dedup` keeps one.
 pub(crate) fn sort_and_dedup(order: &[u32], edges: &mut Vec<DepEdge>) {
-    edges.sort_by(|a, b| edge_cmp(order, a, b));
+    let mut keyed: Vec<(u128, DepEdge)> =
+        edges.drain(..).map(|e| (edge_key(order, &e), e)).collect();
+    keyed.sort_unstable_by(|(ka, a), (kb, b)| ka.cmp(kb).then_with(|| dir_cmp(a, b)));
+    edges.extend(keyed.into_iter().map(|(_, e)| e));
     edges.dedup();
 }
 
@@ -104,23 +115,21 @@ pub(crate) fn sort_and_dedup(order: &[u32], edges: &mut Vec<DepEdge>) {
 /// fresh batch and merging beats re-sorting the whole edge list.
 pub(crate) fn merge_sorted(order: &[u32], edges: &mut Vec<DepEdge>, mut fresh: Vec<DepEdge>) {
     sort_and_dedup(order, &mut fresh);
-    let mut out = Vec::with_capacity(edges.len() + fresh.len());
-    let mut a = std::mem::take(edges).into_iter().peekable();
-    let mut b = fresh.into_iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if edge_cmp(order, x, y) != Ordering::Greater {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => break,
+    let retained = std::mem::take(edges);
+    edges.reserve(retained.len() + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for x in retained {
+        let kx = edge_key(order, &x);
+        while let Some(y) = fresh.next_if(|y| {
+            edge_key(order, y)
+                .cmp(&kx)
+                .then_with(|| dir_cmp(y, &x))
+                .is_lt()
+        }) {
+            edges.push(y);
         }
+        edges.push(x);
     }
-    out.dedup();
-    *edges = out;
+    edges.extend(fresh);
+    edges.dedup();
 }

@@ -74,7 +74,7 @@ use crate::scalars::scalar_deps_filtered;
 use gospel_ir::{
     Cfg, EditDelta, EditOp, LoopTable, Opcode, Operand, OperandPos, Program, Quad, StmtId, Sym,
 };
-use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 /// How an update was carried out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,6 +123,41 @@ pub struct UpdateStats {
     pub edges_added: usize,
 }
 
+/// A set of symbols as a dense bitset over [`Sym::index`] — the dirty
+/// set of an update and the restriction the analysis passes read.
+#[derive(Clone, Debug)]
+pub(crate) struct SymSet {
+    words: Vec<u64>,
+}
+
+impl SymSet {
+    /// An empty set with room for `n` symbols.
+    pub(crate) fn new(n: usize) -> SymSet {
+        SymSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    pub(crate) fn insert(&mut self, s: Sym) {
+        let i = s.index();
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn contains(&self, s: Sym) -> bool {
+        let i = s.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
 /// Deterministic 64-bit hash combine (FNV-1a step over whole words).
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
@@ -130,11 +165,42 @@ fn mix(h: u64, v: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Deterministic hash of one quad (std's `DefaultHasher` seeds with
-/// fixed keys, unlike `RandomState`).
+/// A [`Hasher`] folding every written word (or byte chunk) with [`mix`].
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = mix(self.0, u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = mix(self.0, u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix(self.0, v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = mix(self.0, v as u64);
+    }
+}
+
+/// Deterministic hash of one quad.
 fn quad_hash(q: &Quad) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = Fnv(FNV_OFFSET);
     q.hash(&mut h);
     h.finish()
 }
@@ -152,29 +218,28 @@ fn quad_hash(q: &Quad) -> u64 {
 /// whole dependence-relevant surroundings — the enclosing loop/branch
 /// chain, every enclosing header's operands, and its branch side.
 pub(crate) fn context_signatures(prog: &Program) -> Vec<u64> {
-    let combined =
-        |frames: &[u64]| frames.iter().fold(FNV_OFFSET, |h, &f| mix(h, f));
     let mut ctx = vec![0u64; prog.id_bound()];
-    let mut frames: Vec<u64> = Vec::new();
+    // Open frames, each paired with the fold of every frame up to it.
+    let mut frames: Vec<(u64, u64)> = Vec::new();
+    let combined = |frames: &[(u64, u64)]| frames.last().map_or(FNV_OFFSET, |&(_, c)| c);
     for s in prog.iter() {
         let q = prog.quad(s);
-        let frame = || mix(mix(FNV_OFFSET, s.index() as u64 + 1), quad_hash(q));
         match q.op {
             Opcode::EndDo | Opcode::EndIf => {
                 frames.pop();
-                ctx[s.index()] = combined(&frames);
             }
             Opcode::Else => {
-                if let Some(top) = frames.last_mut() {
-                    *top = mix(*top, 0x5e1f);
+                if let Some((top, _)) = frames.pop() {
+                    let top = mix(top, 0x5e1f);
+                    frames.push((top, mix(combined(&frames), top)));
                 }
-                ctx[s.index()] = combined(&frames);
             }
-            op if op.is_loop_head() || op.is_if() => {
-                ctx[s.index()] = combined(&frames);
-                frames.push(frame());
-            }
-            _ => ctx[s.index()] = combined(&frames),
+            _ => {}
+        }
+        ctx[s.index()] = combined(&frames);
+        if q.op.is_loop_head() || q.op.is_if() {
+            let frame = mix(mix(FNV_OFFSET, s.index() as u64 + 1), quad_hash(q));
+            frames.push((frame, mix(combined(&frames), frame)));
         }
     }
     ctx
@@ -217,27 +282,37 @@ pub(crate) fn partnership_signatures(
 }
 
 /// Symbols mentioned by one operand: the scalar itself, or an array plus
-/// its subscript scalars.
-fn operand_syms(op: &Operand, out: &mut HashSet<Sym>) {
+/// its subscript scalars. Stops at the first symbol `f` answers `true`
+/// for, and returns whether it did.
+fn operand_syms(op: &Operand, f: &mut impl FnMut(Sym) -> bool) -> bool {
     match op {
-        Operand::Var(v) => {
-            out.insert(*v);
-        }
-        e @ Operand::Elem { array, .. } => {
-            out.insert(*array);
-            for v in e.subscript_vars() {
-                out.insert(v);
-            }
-        }
-        _ => {}
+        Operand::Var(v) => f(*v),
+        Operand::Elem { array, subs } => f(*array) || subs.iter().any(|s| s.vars().any(&mut *f)),
+        _ => false,
     }
 }
 
-/// Symbols mentioned anywhere in one quad.
-fn quad_syms(q: &Quad, out: &mut HashSet<Sym>) {
-    for pos in OperandPos::ALL {
-        operand_syms(q.operand(pos), out);
-    }
+/// Symbols mentioned anywhere in one quad, visited like [`operand_syms`].
+fn quad_syms(q: &Quad, f: &mut impl FnMut(Sym) -> bool) -> bool {
+    OperandPos::ALL
+        .iter()
+        .any(|&pos| operand_syms(q.operand(pos), f))
+}
+
+/// Adds every symbol of `q` to `set`.
+fn dirty_quad(q: &Quad, set: &mut SymSet) {
+    quad_syms(q, &mut |s| {
+        set.insert(s);
+        false
+    });
+}
+
+/// Adds every symbol of `op` to `set`.
+fn dirty_operand(op: &Operand, set: &mut SymSet) {
+    operand_syms(op, &mut |s| {
+        set.insert(s);
+        false
+    });
 }
 
 /// The `(end do, do)` marker pair a live statement at `id` currently
@@ -282,7 +357,7 @@ pub(crate) fn update(
     // statement touched by the batch may since have been deleted by a
     // later op in the same batch; its symbols are covered by that
     // delete's quad snapshot.
-    let mut dirty: HashSet<Sym> = HashSet::new();
+    let mut dirty = SymSet::new(prog.syms().len());
     let mut touched: Vec<StmtId> = Vec::new();
     let mut from_start = false;
     // Loop heads whose bound operands were rewritten, and the loop
@@ -301,7 +376,7 @@ pub(crate) fn update(
         match op {
             EditOp::Insert { id } => {
                 if prog.is_live(*id) {
-                    quad_syms(prog.quad(*id), &mut dirty);
+                    dirty_quad(prog.quad(*id), &mut dirty);
                     touched.push(*id);
                     note_pair(split_pair(prog, *id), &mut pair_markers);
                     match prog.prev(*id) {
@@ -311,7 +386,7 @@ pub(crate) fn update(
                 }
             }
             EditOp::Delete { prev, quad, .. } => {
-                quad_syms(quad, &mut dirty);
+                dirty_quad(quad, &mut dirty);
                 note_pair(bridged_pair(prog, *prev), &mut pair_markers);
                 match prev {
                     Some(p) if prog.is_live(*p) => touched.push(*p),
@@ -322,7 +397,7 @@ pub(crate) fn update(
             }
             EditOp::Move { id, old_prev } => {
                 if prog.is_live(*id) {
-                    quad_syms(prog.quad(*id), &mut dirty);
+                    dirty_quad(prog.quad(*id), &mut dirty);
                     touched.push(*id);
                     note_pair(split_pair(prog, *id), &mut pair_markers);
                     match prog.prev(*id) {
@@ -341,9 +416,9 @@ pub(crate) fn update(
                 // operands keep identical program-wide access sets, so
                 // their edges cannot have moved. Dirty the old and new
                 // operand symbols, not the whole quad.
-                operand_syms(old, &mut dirty);
+                dirty_operand(old, &mut dirty);
                 if prog.is_live(*id) {
-                    operand_syms(prog.quad(*id).operand(*pos), &mut dirty);
+                    dirty_operand(prog.quad(*id).operand(*pos), &mut dirty);
                     touched.push(*id);
                     // A loop-bound rewrite changes trip counts, which the
                     // array subscript tests bake into edges of arrays the
@@ -396,7 +471,7 @@ pub(crate) fn update(
         let fresh_ctx = context_signatures(prog);
         for s in prog.iter() {
             if g.ctx_sig(s) != Some(fresh_ctx[s.index()]) {
-                quad_syms(prog.quad(s), &mut dirty);
+                dirty_quad(prog.quad(s), &mut dirty);
                 if ctx_frontier.is_none() {
                     ctx_frontier = Some(s);
                 }
@@ -465,7 +540,7 @@ pub(crate) fn update(
     // the fresh batch below merges instead of forcing a full re-sort.
     let mut edges = g.take_edges();
     let before_retain = edges.len();
-    edges.retain(|e| e.kind != DepKind::Control && !dirty.contains(&e.var));
+    edges.retain(|e| e.kind != DepKind::Control && !dirty.contains(e.var));
     let edges_dropped = before_retain - edges.len();
 
     // Re-derive the dirty symbols' edges against the post-edit program.
@@ -510,19 +585,16 @@ pub(crate) fn update(
         if let Some(s) = ctx_frontier {
             consider(s, &mut best);
         }
-        let mut syms = HashSet::new();
-        for s in prog.iter() {
-            syms.clear();
-            quad_syms(prog.quad(s), &mut syms);
-            if !syms.is_disjoint(&dirty) {
-                consider(s, &mut best);
-                break; // program order: the first hit is the earliest
-            }
+        if let Some(s) = prog
+            .iter()
+            .find(|&s| quad_syms(prog.quad(s), &mut |v| dirty.contains(v)))
+        {
+            consider(s, &mut best); // program order: the first hit is the earliest
         }
         best.map(|(_, s)| s).or_else(|| prog.first())
     };
 
-    *g = DepGraph::from_edges(prog, loops, edges);
+    *g = DepGraph::from_edges(prog, loops, edges, order);
     Ok(DepUpdate {
         kind: if structural {
             UpdateKind::Structural

@@ -64,6 +64,12 @@ impl AffineExpr {
         self.terms.keys().copied()
     }
 
+    /// `(variable, coefficient)` pairs, in [`Sym`] order — [`AffineExpr::vars`]
+    /// zipped with [`AffineExpr::coeff`] without the per-variable lookups.
+    pub fn terms(&self) -> impl Iterator<Item = (Sym, i64)> + '_ {
+        self.terms.iter().map(|(&v, &c)| (v, c))
+    }
+
     /// True if the expression is a plain constant.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()

@@ -3,8 +3,10 @@
 //! (`Nested Loops`, `Tight Loops`, `Adjacent Loops`).
 
 use crate::{Opcode, Operand, Program, StmtId, Sym};
-use std::collections::HashMap;
 use std::fmt;
+
+/// Empty slot of the dense per-statement tables.
+const NO_LOOP: u32 = u32::MAX;
 
 /// Handle to a loop inside a [`LoopTable`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,15 +86,29 @@ impl std::error::Error for LoopStructureError {}
 /// Recompute after transformations that add, remove or move loop markers
 /// (the analyses are snapshot-based, exactly like the paper's optimizer,
 /// which lets the user decide when dependences are recomputed).
+///
+/// Per-statement lookups are dense tables indexed by [`StmtId::index`]
+/// and sized by the snapshot's [`Program::id_bound`]; a statement created
+/// after the snapshot (or dead in it) simply has no loop.
 #[derive(Clone, Debug, Default)]
 pub struct LoopTable {
     loops: Vec<LoopInfo>,
-    /// Innermost loop whose *body* contains each statement. A loop's own
-    /// head/end statements belong to the enclosing context, not to the loop.
-    enclosing: HashMap<StmtId, LoopId>,
-    head_of: HashMap<StmtId, LoopId>,
-    end_of: HashMap<StmtId, LoopId>,
+    /// Innermost loop whose *body* contains each statement (`NO_LOOP` =
+    /// none). A loop's own head/end statements belong to the enclosing
+    /// context, not to the loop.
+    enclosing: Vec<u32>,
+    /// The loop whose `do` or `end do` each statement is (`NO_LOOP` =
+    /// neither); which of the two it is, the loop's `head` tells.
+    marker_of: Vec<u32>,
     roots: Vec<LoopId>,
+}
+
+/// Reads a dense table slot; `None` past the end or in an empty slot.
+fn slot(table: &[u32], stmt: StmtId) -> Option<LoopId> {
+    match table.get(stmt.index()) {
+        Some(&l) if l != NO_LOOP => Some(LoopId(l)),
+        _ => None,
+    }
 }
 
 impl LoopTable {
@@ -103,15 +119,19 @@ impl LoopTable {
     /// Returns a [`LoopStructureError`] if `do`/`end do` markers are not
     /// properly nested or a header is malformed.
     pub fn of(prog: &Program) -> Result<LoopTable, LoopStructureError> {
-        let mut table = LoopTable::default();
+        let mut table = LoopTable {
+            enclosing: vec![NO_LOOP; prog.id_bound()],
+            marker_of: vec![NO_LOOP; prog.id_bound()],
+            ..LoopTable::default()
+        };
         let mut stack: Vec<LoopId> = Vec::new();
         for id in prog.iter() {
             let quad = prog.quad(id);
+            if let Some(&top) = stack.last() {
+                table.enclosing[id.index()] = top.0;
+            }
             match quad.op {
                 Opcode::DoHead | Opcode::ParDo => {
-                    if let Some(&top) = stack.last() {
-                        table.enclosing.insert(id, top);
-                    }
                     let lcv = quad
                         .dst
                         .as_var()
@@ -134,22 +154,17 @@ impl LoopTable {
                     } else {
                         table.roots.push(lid);
                     }
-                    table.head_of.insert(id, lid);
+                    table.marker_of[id.index()] = lid.0;
                     stack.push(lid);
                 }
                 Opcode::EndDo => {
                     let lid = stack.pop().ok_or(LoopStructureError::UnmatchedEnd(id))?;
                     table.loops[lid.index()].end = id;
-                    table.end_of.insert(id, lid);
-                    if let Some(&top) = stack.last() {
-                        table.enclosing.insert(id, top);
-                    }
+                    table.marker_of[id.index()] = lid.0;
+                    // An `end do` belongs to the context enclosing its loop.
+                    table.enclosing[id.index()] = stack.last().map_or(NO_LOOP, |l| l.0);
                 }
-                _ => {
-                    if let Some(&top) = stack.last() {
-                        table.enclosing.insert(id, top);
-                    }
-                }
+                _ => {}
             }
         }
         if let Some(&open) = stack.last() {
@@ -192,18 +207,18 @@ impl LoopTable {
 
     /// The loop whose header is `stmt`, if any.
     pub fn loop_of_head(&self, stmt: StmtId) -> Option<LoopId> {
-        self.head_of.get(&stmt).copied()
+        slot(&self.marker_of, stmt).filter(|&l| self.get(l).head == stmt)
     }
 
     /// The loop whose `end do` is `stmt`, if any.
     pub fn loop_of_end(&self, stmt: StmtId) -> Option<LoopId> {
-        self.end_of.get(&stmt).copied()
+        slot(&self.marker_of, stmt).filter(|&l| self.get(l).end == stmt)
     }
 
     /// Innermost loop whose body contains `stmt` (a loop's own head/end
     /// belong to the surrounding context).
     pub fn innermost_at(&self, stmt: StmtId) -> Option<LoopId> {
-        self.enclosing.get(&stmt).copied()
+        slot(&self.enclosing, stmt)
     }
 
     /// GOSpeL `mem(S, L)`: true if `stmt` is inside the body of `l`
@@ -219,28 +234,39 @@ impl LoopTable {
         false
     }
 
-    /// The chain of loops enclosing `stmt`, outermost first.
-    pub fn nest_of(&self, stmt: StmtId) -> Vec<LoopId> {
-        let mut chain = Vec::new();
-        let mut cur = self.innermost_at(stmt);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = self.get(c).parent;
-        }
-        chain.reverse();
-        chain
-    }
-
     /// Loops containing *both* statements, outermost first — the loops whose
     /// direction-vector entries a dependence between the two statements has.
     pub fn common_nest(&self, s1: StmtId, s2: StmtId) -> Vec<LoopId> {
-        let a = self.nest_of(s1);
-        let b = self.nest_of(s2);
-        a.into_iter()
-            .zip(b)
-            .take_while(|(x, y)| x == y)
-            .map(|(x, _)| x)
-            .collect()
+        let mut out = Vec::new();
+        self.common_nest_into(s1, s2, &mut out);
+        out
+    }
+
+    /// [`LoopTable::common_nest`] into a caller-owned buffer (cleared
+    /// first), for hot loops that query many statement pairs.
+    pub fn common_nest_into(&self, s1: StmtId, s2: StmtId, out: &mut Vec<LoopId>) {
+        out.clear();
+        // Climb the deeper chain until both sit at the innermost common
+        // loop (or either runs out).
+        let (mut a, mut b) = (self.innermost_at(s1), self.innermost_at(s2));
+        while let (Some(x), Some(y)) = (a, b) {
+            if x == y {
+                break;
+            }
+            let (dx, dy) = (self.get(x).depth, self.get(y).depth);
+            if dx >= dy {
+                a = self.get(x).parent;
+            }
+            if dy >= dx {
+                b = self.get(y).parent;
+            }
+        }
+        let mut cur = if a == b { a } else { None };
+        while let Some(c) = cur {
+            out.push(c);
+            cur = self.get(c).parent;
+        }
+        out.reverse();
     }
 
     /// Statements in the body of `l` (exclusive of its head and end),
@@ -353,12 +379,43 @@ mod tests {
         let body_stmt = t.body(&p, inner).next().unwrap();
         assert!(t.contains(inner, body_stmt));
         assert!(t.contains(outer, body_stmt));
-        assert_eq!(t.nest_of(body_stmt), vec![outer, inner]);
+        assert_eq!(t.common_nest(body_stmt, body_stmt), vec![outer, inner]);
         // inner head is a member of outer, not of inner
         let ih = t.get(inner).head;
         assert!(t.contains(outer, ih));
         assert!(!t.contains(inner, ih));
         assert_eq!(t.common_nest(body_stmt, ih), vec![outer]);
+    }
+
+    #[test]
+    fn lookups_past_the_snapshot_find_nothing() {
+        // Actions add and copy statements after the table was built; the
+        // dense tables must answer "no loop" for those ids, not panic.
+        let (mut p, t) = nest();
+        let body_stmt = t.body(&p, t.loops[1].id).next().unwrap();
+        let bound = p.id_bound();
+        let fresh = p.push(Quad::marker(Opcode::EndDo));
+        assert!(fresh.index() >= bound, "the new id lies past every table");
+        assert_eq!(t.innermost_at(fresh), None);
+        assert_eq!(t.loop_of_head(fresh), None);
+        assert_eq!(t.loop_of_end(fresh), None);
+        for info in t.iter() {
+            assert!(!t.contains(info.id, fresh));
+        }
+        assert!(t.common_nest(fresh, body_stmt).is_empty());
+        assert!(t.common_nest(body_stmt, fresh).is_empty());
+        assert!(t.common_nest(fresh, fresh).is_empty());
+    }
+
+    #[test]
+    fn marker_lookups_distinguish_head_and_end() {
+        let (_, t) = nest();
+        for info in t.iter() {
+            assert_eq!(t.loop_of_head(info.head), Some(info.id));
+            assert_eq!(t.loop_of_end(info.end), Some(info.id));
+            assert_eq!(t.loop_of_head(info.end), None);
+            assert_eq!(t.loop_of_end(info.head), None);
+        }
     }
 
     #[test]
