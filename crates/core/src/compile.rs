@@ -1,12 +1,14 @@
 //! The generator: analyze a validated specification and produce an
 //! executable optimizer (the paper's Step 2, Figure 4).
 
+use crate::driver::TraceNames;
 use crate::error::GenerateError;
 use gospel_lang::ast::{
     Action, BoolExpr, DependClause, ElemType, PatternClause, Quant, SetExpr, Spec, ValExpr,
 };
 use gospel_lang::SpecInfo;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// How a dependence clause with membership constraints is implemented
 /// (the two methods of §4, plus the heuristic that chooses per clause).
@@ -57,6 +59,9 @@ pub struct CompiledOptimizer {
     pub spec: Spec,
     /// Validation info (variable classes).
     pub info: SpecInfo,
+    /// The strings a traced run records for this optimizer, rendered on
+    /// first use.
+    pub(crate) trace_names: OnceLock<TraceNames>,
 }
 
 impl CompiledOptimizer {
@@ -122,6 +127,7 @@ pub fn generate(spec: Spec, info: SpecInfo) -> Result<CompiledOptimizer, Generat
         strategy: Strategy::default(),
         spec,
         info,
+        trace_names: OnceLock::new(),
     })
 }
 

@@ -14,6 +14,7 @@ use crate::solve::Searcher;
 use gospel_dep::{DepGraph, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
 use gospel_trace::{Name, Recorder, Span, Value};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -337,7 +338,7 @@ impl<'o> Driver<'o> {
     ) -> Result<ApplyReport, RunError> {
         let mut report = ApplyReport::default();
         let rec = self.recorder.clone();
-        let mut totals = RunTotals::new(rec.clone(), &self.opt.name);
+        let mut totals = RunTotals::new(rec.clone(), self.opt);
         let started = Instant::now();
         if self.fault_fires(FaultKind::Analysis, 0) {
             return Err(RunError::Analyze("injected fault: analysis failure".into()));
@@ -432,24 +433,28 @@ impl<'o> Driver<'o> {
             }
 
             totals.attempts += 1;
-            // Sampling controller: 1-in-N attempts get a span and timing
-            // observations (the first always does); the rest stay
-            // completely silent in the event stream. Counter totals are
-            // unaffected — they flush through `RunTotals`.
+            // Sampling controller: 1-in-N attempts get a span, events and
+            // timing observations (the first always does), the latter
+            // weighted by N; the rest stay completely silent in the event
+            // stream. Counter totals are unaffected — they flush through
+            // `RunTotals`.
             let sample = self.trace_sample.max(1);
             let sampled = sample == 1 || (totals.attempts - 1).is_multiple_of(sample);
             let attempt_rec = if sampled { rec.as_ref() } else { None };
             // The span closes on every exit from this iteration: explicitly
             // on the applied/fixpoint paths, via its drop guard on the
             // error returns below.
-            let attempt_span = Span::open(
-                attempt_rec,
-                "driver.attempt",
-                &[
-                    ("optimizer", Value::str(self.opt.name.clone())),
-                    ("application", Value::us(report.applications)),
-                ],
-            );
+            let attempt_span = match attempt_rec {
+                Some(r) => Span::open(
+                    Some(r),
+                    "driver.attempt",
+                    [
+                        ("optimizer", Value::Str(TraceNames::of(self.opt).opt.clone())),
+                        ("application", Value::us(report.applications)),
+                    ],
+                ),
+                None => Span::none(),
+            };
 
             let search_started = Instant::now();
             let mut pattern_ns = 0u64;
@@ -468,7 +473,7 @@ impl<'o> Driver<'o> {
                 s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
                 s.filters = filters.as_deref().map(|v| v.as_slice());
                 s.cache = mcache.as_mut();
-                s.time_pattern = rec.is_some();
+                s.time_pattern = attempt_rec.is_some();
                 let mut found = s.find_first()?;
                 report.cost += s.cost;
                 totals.cost += s.cost;
@@ -500,7 +505,7 @@ impl<'o> Driver<'o> {
                     s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
                     s.filters = filters.as_deref().map(|v| v.as_slice());
                     s.cache = mcache.as_mut();
-                    s.time_pattern = rec.is_some();
+                    s.time_pattern = attempt_rec.is_some();
                     found = s.find_first()?;
                     report.cost += s.cost;
                     totals.cost += s.cost;
@@ -534,14 +539,14 @@ impl<'o> Driver<'o> {
                 r.observe_n("driver.pattern_ns", pattern_ns, sample);
                 if let Some(env) = found.as_ref() {
                     let mut fields = vec![
-                        ("optimizer", Value::str(self.opt.name.clone())),
+                        ("optimizer", Value::Str(TraceNames::of(self.opt).opt.clone())),
                         ("outcome", Value::str("found")),
                         ("resumed", Value::b(resume_pt.is_some())),
                     ];
                     if let Some(a) = anchor_of(self.opt, env) {
                         fields.push(("anchor", Value::str(a)));
                     }
-                    r.event("search.match", &fields);
+                    r.event("search.match", fields);
                 }
             }
             if let Some(fuel) = self.fuel {
@@ -551,15 +556,17 @@ impl<'o> Driver<'o> {
             }
 
             let Some(mut env) = found else {
-                let mut fields = vec![
-                    ("outcome", Value::str("fixpoint")),
-                    ("search_ns", Value::u(search_ns)),
-                    ("pattern_ns", Value::u(pattern_ns)),
-                ];
-                if sample > 1 {
-                    fields.push(("sample", Value::u(sample)));
+                if sampled {
+                    let mut fields = vec![
+                        ("outcome", Value::str("fixpoint")),
+                        ("search_ns", Value::u(search_ns)),
+                        ("pattern_ns", Value::u(pattern_ns)),
+                    ];
+                    if sample > 1 {
+                        fields.push(("sample", Value::u(sample)));
+                    }
+                    attempt_span.close(fields);
                 }
-                attempt_span.close(&fields);
                 break;
             };
 
@@ -617,8 +624,8 @@ impl<'o> Driver<'o> {
                     resume_unwind(payload);
                 }
             };
-            if let Some(r) = rec.as_ref() {
-                r.observe("driver.actions_ns", ns_since(actions_started));
+            if let Some(r) = attempt_rec {
+                r.observe_n("driver.actions_ns", ns_since(actions_started), sample);
             }
             let corrupted = self.fault_fires(FaultKind::CorruptCommit, report.applications);
             if corrupted {
@@ -631,17 +638,19 @@ impl<'o> Driver<'o> {
             report.points.push(env);
             totals.applications += 1;
             totals.transform_ops += ops;
-            let mut close_fields = vec![
-                ("outcome", Value::str("applied")),
-                ("ops", Value::u(ops)),
-                ("stmts", Value::us(prog.len())),
-                ("search_ns", Value::u(search_ns)),
-                ("pattern_ns", Value::u(pattern_ns)),
-            ];
-            if sample > 1 {
-                close_fields.push(("sample", Value::u(sample)));
+            if sampled {
+                let mut fields = vec![
+                    ("outcome", Value::str("applied")),
+                    ("ops", Value::u(ops)),
+                    ("stmts", Value::us(prog.len())),
+                    ("search_ns", Value::u(search_ns)),
+                    ("pattern_ns", Value::u(pattern_ns)),
+                ];
+                if sample > 1 {
+                    fields.push(("sample", Value::u(sample)));
+                }
+                attempt_span.close(fields);
             }
-            attempt_span.close(&close_fields);
             if corrupted {
                 // Return "success" with the bad commit in place: the fault
                 // models corruption the driver itself does not notice, so
@@ -671,7 +680,7 @@ impl<'o> Driver<'o> {
                     ix.update(prog, &delta);
                 }
                 if let Some(a) = auto.as_mut() {
-                    let span = Span::open(rec.as_ref(), "automaton.update", &[]);
+                    let span = Span::open(attempt_rec, "automaton.update", &[]);
                     a.update(prog, &delta);
                     let (states, visits) = a.take_stats();
                     totals.fused_states += states;
@@ -734,8 +743,8 @@ impl<'o> Driver<'o> {
                                 }
                                 totals.edges_dropped += up.stats.edges_dropped as u64;
                                 totals.edges_added += up.stats.edges_added as u64;
-                                if let Some(r) = rec.as_ref() {
-                                    r.observe("dep.update_ns", ns_since(update_started));
+                                if let Some(r) = attempt_rec {
+                                    r.observe_n("dep.update_ns", ns_since(update_started), sample);
                                     let kind = match up.kind {
                                         UpdateKind::Full => "full",
                                         UpdateKind::Incremental => "incremental",
@@ -752,7 +761,7 @@ impl<'o> Driver<'o> {
                                     if let Some(fr) = frontier {
                                         fields.push(("frontier", Value::str(fr)));
                                     }
-                                    r.event("dep.update", &fields);
+                                    r.event("dep.update", fields);
                                 }
                                 resume_pt = up.frontier;
                             }
@@ -776,8 +785,8 @@ impl<'o> Driver<'o> {
                                 deps = analyze(prog)?;
                                 report.full_recomputes += 1;
                                 totals.analyze_full += 1;
-                                if let Some(r) = rec.as_ref() {
-                                    r.observe("dep.analyze_ns", ns_since(t));
+                                if let Some(r) = attempt_rec {
+                                    r.observe_n("dep.analyze_ns", ns_since(t), sample);
                                 }
                                 resume_pt = None;
                                 current = true;
@@ -861,8 +870,8 @@ impl<'o> Driver<'o> {
                     deps = analyze(prog)?;
                     report.full_recomputes += 1;
                     totals.analyze_full += 1;
-                    if let Some(r) = rec.as_ref() {
-                        r.observe("dep.analyze_ns", ns_since(t));
+                    if let Some(r) = attempt_rec {
+                        r.observe_n("dep.analyze_ns", ns_since(t), sample);
                     }
                     resume_pt = None;
                 }
@@ -969,15 +978,80 @@ fn anchor_of(opt: &CompiledOptimizer, env: &Bindings) -> Option<String> {
     })
 }
 
+/// The funnel phases, in pipeline order, as they appear in
+/// `funnel.<OPT>.<phase>` counter names.
+const FUNNEL_PHASES: [&str; 6] = [
+    "classified",
+    "admitted",
+    "matched",
+    "dep_checked",
+    "applied",
+    "rolled_back",
+];
+
+/// The optimizer-specific strings a traced run records: its name and
+/// its counter names. Rendering them was most of a run-end flush's
+/// cost, so each [`CompiledOptimizer`] renders them once and every later
+/// run shares them.
+#[derive(Clone, Debug)]
+pub(crate) struct TraceNames {
+    opt: Name,
+    funnel: [Name; 6],
+    cache_hit: Name,
+    fused_dispatched: Name,
+    dep_reject: Vec<Name>,
+}
+
+impl TraceNames {
+    fn new(opt: &CompiledOptimizer) -> TraceNames {
+        let name = &opt.name;
+        TraceNames {
+            opt: Name::Shared(name.as_str().into()),
+            funnel: FUNNEL_PHASES.map(|phase| shared(format!("funnel.{name}.{phase}"))),
+            cache_hit: shared(format!("search.cache_hit.{name}")),
+            fused_dispatched: shared(format!("search.fused.dispatched.{name}")),
+            dep_reject: (0..opt.depends.len())
+                .map(|i| dep_reject_name(name, i))
+                .collect(),
+        }
+    }
+
+    /// `opt`'s names: the rendered set, unless the optimizer was renamed
+    /// after it was rendered.
+    fn of(opt: &CompiledOptimizer) -> Cow<'_, TraceNames> {
+        let names = opt.trace_names.get_or_init(|| TraceNames::new(opt));
+        if names.opt.as_str() == opt.name {
+            Cow::Borrowed(names)
+        } else {
+            Cow::Owned(TraceNames::new(opt))
+        }
+    }
+
+    fn dep_reject(&self, clause: usize) -> Name {
+        match self.dep_reject.get(clause) {
+            Some(n) => n.clone(),
+            None => dep_reject_name(&self.opt, clause),
+        }
+    }
+}
+
+fn dep_reject_name(opt: &str, clause: usize) -> Name {
+    shared(format!("search.dep_reject.{opt}.clause{clause}"))
+}
+
+fn shared(s: String) -> Name {
+    Name::Shared(s.into())
+}
+
 /// Counters accumulated locally across one `apply` run and flushed to
 /// the recorder in a single batch when the run ends — on *every* exit
 /// path, including `?` returns and panics, because the flush lives in
 /// `Drop`. Keeping the hot loop out of the recorder lock bounds tracing
 /// overhead to the spans and structured events that genuinely need
 /// per-attempt timestamps.
-struct RunTotals {
+struct RunTotals<'o> {
     rec: Option<Arc<Recorder>>,
-    opt_name: String,
+    opt: &'o CompiledOptimizer,
     attempts: u64,
     applications: u64,
     action_rollbacks: u64,
@@ -1011,11 +1085,11 @@ struct RunTotals {
     rejects: Vec<u64>,
 }
 
-impl RunTotals {
-    fn new(rec: Option<Arc<Recorder>>, opt_name: &str) -> RunTotals {
+impl<'o> RunTotals<'o> {
+    fn new(rec: Option<Arc<Recorder>>, opt: &'o CompiledOptimizer) -> RunTotals<'o> {
         RunTotals {
             rec,
-            opt_name: opt_name.to_string(),
+            opt,
             attempts: 0,
             applications: 0,
             action_rollbacks: 0,
@@ -1045,9 +1119,10 @@ impl RunTotals {
     }
 }
 
-impl Drop for RunTotals {
+impl Drop for RunTotals<'_> {
     fn drop(&mut self) {
         let Some(rec) = self.rec.take() else { return };
+        let names = TraceNames::of(self.opt);
         if self.funnel_classified > 0 {
             // One structured funnel event per run: the whole
             // classified → admitted → matched → dep-checked →
@@ -1057,8 +1132,8 @@ impl Drop for RunTotals {
             // for metric consumers.
             rec.event(
                 "search.funnel",
-                &[
-                    ("optimizer", Value::str(self.opt_name.clone())),
+                [
+                    ("optimizer", Value::Str(names.opt.clone())),
                     ("classified", Value::u(self.funnel_classified)),
                     ("admitted", Value::u(self.funnel_admitted)),
                     ("matched", Value::u(self.funnel_matched)),
@@ -1070,19 +1145,17 @@ impl Drop for RunTotals {
         }
         let mut items: Vec<(Name, u64)> = Vec::with_capacity(16);
         if self.funnel_classified > 0 {
-            for (phase, n) in [
-                ("classified", self.funnel_classified),
-                ("admitted", self.funnel_admitted),
-                ("matched", self.funnel_matched),
-                ("dep_checked", self.funnel_dep_checked),
-                ("applied", self.applications),
-                ("rolled_back", self.action_rollbacks),
-            ] {
+            let counts = [
+                self.funnel_classified,
+                self.funnel_admitted,
+                self.funnel_matched,
+                self.funnel_dep_checked,
+                self.applications,
+                self.action_rollbacks,
+            ];
+            for (name, n) in names.funnel.iter().zip(counts) {
                 if n > 0 {
-                    items.push((
-                        Name::Owned(format!("funnel.{}.{phase}", self.opt_name)),
-                        n,
-                    ));
+                    items.push((name.clone(), n));
                 }
             }
         }
@@ -1113,27 +1186,18 @@ impl Drop for RunTotals {
             ),
         ] {
             if n > 0 {
-                items.push((Name::Borrowed(name), n));
+                items.push((Name::Static(name), n));
             }
         }
         if self.cache_hits > 0 {
-            items.push((
-                Name::Owned(format!("search.cache_hit.{}", self.opt_name)),
-                self.cache_hits,
-            ));
+            items.push((names.cache_hit.clone(), self.cache_hits));
         }
         if self.fused_dispatched > 0 {
-            items.push((
-                Name::Owned(format!("search.fused.dispatched.{}", self.opt_name)),
-                self.fused_dispatched,
-            ));
+            items.push((names.fused_dispatched.clone(), self.fused_dispatched));
         }
         for (i, &n) in self.rejects.iter().enumerate() {
             if n > 0 {
-                items.push((
-                    Name::Owned(format!("search.dep_reject.{}.clause{i}", self.opt_name)),
-                    n,
-                ));
+                items.push((names.dep_reject(i), n));
             }
         }
         rec.add_many(items);
@@ -1333,6 +1397,39 @@ mod tests {
         let events = rec.drain_events();
         assert!(events.iter().any(|e| e.name == "search.match"));
         assert!(events.iter().any(|e| e.name == "dep.update"));
+    }
+
+    #[test]
+    fn sampled_out_attempts_record_only_counters() {
+        // One attempt in 100 sampled: only the run's first attempt (which
+        // applies) records its span, events and timings, the timings
+        // weighted by 100; counters stay exact.
+        let mut prog = minifor(
+            "program p\ninteger x, y, z\nx = 3\ny = x\nz = y\nwrite z\nend",
+        )
+        .unwrap();
+        let opt = ctp();
+        let mut d = Driver::new(&opt);
+        d.incremental_deps = true;
+        d.trace_sample = 100;
+        let rec = std::sync::Arc::new(gospel_trace::Recorder::new());
+        d.recorder = Some(rec.clone());
+        let report = d.apply(&mut prog, ApplyMode::AllPoints).unwrap();
+        assert!(report.applications > 1);
+        assert_eq!(
+            rec.counter("driver.attempts"),
+            report.applications as u64 + 1
+        );
+        let events = rec.drain_events();
+        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(count("driver.attempt"), 2, "one span: open and close");
+        assert_eq!(count("search.match"), 1);
+        assert_eq!(count("dep.update"), 1);
+        for (name, h) in rec.histograms() {
+            if name != "dep.analyze_ns" {
+                assert_eq!(h.count, 100, "{name}: one observation of weight 100");
+            }
+        }
     }
 
     #[test]

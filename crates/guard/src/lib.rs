@@ -687,7 +687,7 @@ impl GuardedSession {
             if let Some(v) = vector {
                 fields.push(("vector", Value::us(v)));
             }
-            r.event("guard.validate", &fields);
+            r.event("guard.validate", fields);
         }
         self.session.restore_program(checkpoint);
         // The checkpoint equals the restored state; keeping it would make

@@ -39,16 +39,88 @@
 pub mod json;
 pub mod report;
 
-use std::borrow::Cow;
 #[cfg(feature = "record")]
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// An event or counter name: borrowed for the (overwhelmingly common)
-/// `&'static str` literals, owned for dynamically-built names such as
-/// per-clause counters. Keeping literals borrowed means recording an
-/// event allocates only for genuinely dynamic strings.
-pub type Name = Cow<'static, str>;
+/// An event or counter name, or a string field value: a `&'static str`
+/// literal (the overwhelmingly common case), an owned dynamic string, or
+/// a shared one. Literals and shared strings clone without allocating,
+/// so a caller that renders a dynamic name once (an optimizer's
+/// per-clause counters, say) can record it any number of times for free.
+#[derive(Clone, Debug)]
+pub enum Name {
+    /// A literal.
+    Static(&'static str),
+    /// A string built for one use.
+    Owned(String),
+    /// A string built once and shared.
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// The string as a slice.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Name::Static(s) => s,
+            Name::Owned(s) => s,
+            Name::Shared(s) => s,
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name::Static(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name::Owned(s)
+    }
+}
+
+/// The structured fields of one event, in recording order. Recording
+/// methods take anything that converts into it: a `Vec` or an array is
+/// moved into the event, a slice is copied.
+pub type Fields = Vec<(&'static str, Value)>;
 
 // ---------------------------------------------------------------------------
 // shared data model (compiled regardless of the `record` feature)
@@ -62,8 +134,8 @@ pub enum Value {
     /// An unsigned integer.
     UInt(u64),
     /// A string — borrowed for `&'static str` literals (no allocation),
-    /// owned for dynamic strings.
-    Str(Cow<'static, str>),
+    /// owned or shared for dynamic strings.
+    Str(Name),
     /// A boolean.
     Bool(bool),
 }
@@ -71,7 +143,7 @@ pub enum Value {
 impl Value {
     /// Shorthand for [`Value::Str`]. Literals stay borrowed; pass an
     /// owned `String` (cloning if needed) for dynamic values.
-    pub fn str(s: impl Into<Cow<'static, str>>) -> Value {
+    pub fn str(s: impl Into<Name>) -> Value {
         Value::Str(s.into())
     }
 
@@ -162,7 +234,7 @@ pub struct Event {
     /// Increment for [`EventKind::Counter`].
     pub delta: Option<u64>,
     /// Structured fields, in recording order.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Fields,
 }
 
 impl Event {
@@ -458,8 +530,39 @@ mod imp {
         next_span: u64,
         open_spans: u64,
         events: Vec<Event>,
+        /// Index of the first event in `events` not yet folded into
+        /// `counters` (see [`Inner::settle`]).
+        unsettled: usize,
         counters: BTreeMap<String, u64>,
         histograms: BTreeMap<String, HistogramSnapshot>,
+    }
+
+    impl Inner {
+        /// Folds the counter events recorded since the last settle into
+        /// the totals, stamping each with its running total. Recording a
+        /// counter only appends its event; every reader of totals or
+        /// events settles first, so each event is folded exactly once, in
+        /// recording order, and off the recording path.
+        fn settle(&mut self) {
+            for ev in &mut self.events[self.unsettled..] {
+                if ev.kind != EventKind::Counter {
+                    continue;
+                }
+                let delta = ev.delta.unwrap_or(0);
+                let total = match self.counters.get_mut(ev.name.as_str()) {
+                    Some(t) => {
+                        *t = t.saturating_add(delta);
+                        *t
+                    }
+                    None => {
+                        self.counters.insert(ev.name.to_string(), delta);
+                        delta
+                    }
+                };
+                ev.value = Some(total);
+            }
+            self.unsettled = self.events.len();
+        }
     }
 
     /// Thread-safe event/metric collector. See the crate docs.
@@ -506,25 +609,27 @@ mod imp {
         }
 
         /// Records an instant event.
-        pub fn event(&self, name: &'static str, fields: &[(&'static str, Value)]) {
+        pub fn event(&self, name: &'static str, fields: impl Into<Fields>) {
+            let fields = fields.into();
             let ts_ns = self.ts_ns();
             let mut inner = self.lock();
             let event = Event {
                 seq: 0,
                 ts_ns,
                 kind: EventKind::Instant,
-                name: Name::Borrowed(name),
+                name: Name::Static(name),
                 span: None,
                 value: None,
                 delta: None,
-                fields: fields.to_vec(),
+                fields,
             };
             self.push(&mut inner, event);
         }
 
         /// Adds `delta` to counter `name` and records a counter event
-        /// carrying the new running total. Counters only ever increase, so
-        /// the emitted `value` sequence is monotone per name.
+        /// carrying the new running total (stamped when the event is
+        /// read). Counters only ever increase, so the emitted `value`
+        /// sequence is monotone per name.
         pub fn add(&self, name: impl Into<Name>, delta: u64) {
             let ts_ns = self.ts_ns();
             let mut inner = self.lock();
@@ -545,24 +650,16 @@ mod imp {
             }
         }
 
+        /// Records a counter event; its running total is filled in when
+        /// the event is settled.
         fn bump(&self, inner: &mut Inner, ts_ns: u64, name: Name, delta: u64) {
-            let total = match inner.counters.get_mut(name.as_ref()) {
-                Some(t) => {
-                    *t = t.saturating_add(delta);
-                    *t
-                }
-                None => {
-                    inner.counters.insert(name.to_string(), delta);
-                    delta
-                }
-            };
             let event = Event {
                 seq: 0,
                 ts_ns,
                 kind: EventKind::Counter,
                 name,
                 span: None,
-                value: Some(total),
+                value: None,
                 delta: Some(delta),
                 fields: Vec::new(),
             };
@@ -597,7 +694,8 @@ mod imp {
         /// A point-in-time copy of every counter and histogram total —
         /// the mergeable, exportable form of this recorder's metrics.
         pub fn snapshot(&self) -> MetricsSnapshot {
-            let inner = self.lock();
+            let mut inner = self.lock();
+            inner.settle();
             MetricsSnapshot {
                 counters: inner
                     .counters
@@ -614,11 +712,7 @@ mod imp {
 
         /// Opens a span; returns `(id, open_ts_ns)` so the close can
         /// derive the elapsed time from one clock read.
-        pub(super) fn span_open(
-            &self,
-            name: &'static str,
-            fields: &[(&'static str, Value)],
-        ) -> (u64, u64) {
+        pub(super) fn span_open(&self, name: &'static str, fields: Fields) -> (u64, u64) {
             let ts_ns = self.ts_ns();
             let mut inner = self.lock();
             inner.next_span += 1;
@@ -628,11 +722,11 @@ mod imp {
                 seq: 0,
                 ts_ns,
                 kind: EventKind::SpanOpen,
-                name: Name::Borrowed(name),
+                name: Name::Static(name),
                 span: Some(id),
                 value: None,
                 delta: None,
-                fields: fields.to_vec(),
+                fields,
             };
             self.push(&mut inner, event);
             (id, ts_ns)
@@ -643,26 +737,24 @@ mod imp {
             id: u64,
             name: &'static str,
             open_ts_ns: u64,
-            fields: &[(&'static str, Value)],
+            mut fields: Fields,
         ) {
             let ts_ns = self.ts_ns();
-            let mut inner = self.lock();
-            inner.open_spans = inner.open_spans.saturating_sub(1);
-            let mut all = Vec::with_capacity(fields.len() + 1);
-            all.extend_from_slice(fields);
-            all.push((
+            fields.push((
                 "elapsed_ns",
                 Value::UInt(ts_ns.saturating_sub(open_ts_ns)),
             ));
+            let mut inner = self.lock();
+            inner.open_spans = inner.open_spans.saturating_sub(1);
             let event = Event {
                 seq: 0,
                 ts_ns,
                 kind: EventKind::SpanClose,
-                name: Name::Borrowed(name),
+                name: Name::Static(name),
                 span: Some(id),
                 value: None,
                 delta: None,
-                fields: all,
+                fields,
             };
             self.push(&mut inner, event);
         }
@@ -670,7 +762,10 @@ mod imp {
         /// Takes every buffered event, leaving the buffer empty (counters
         /// and histograms keep their totals).
         pub fn drain_events(&self) -> Vec<Event> {
-            std::mem::take(&mut self.lock().events)
+            let mut inner = self.lock();
+            inner.settle();
+            inner.unsettled = 0;
+            std::mem::take(&mut inner.events)
         }
 
         /// Folds another recorder's buffered events and metric totals
@@ -689,8 +784,13 @@ mod imp {
         /// directly. Timestamps keep each worker's own clock origin;
         /// order across merged recorders by `seq`, not `ts_ns`.
         pub fn merge_from(&self, other: &Recorder) {
-            let taken = std::mem::take(&mut *other.lock());
+            let taken = {
+                let mut other = other.lock();
+                other.settle();
+                std::mem::take(&mut *other)
+            };
             let mut inner = self.lock();
+            inner.settle();
             // Residuals first: totals from `other` whose events are gone
             // (drained earlier) still belong in the merged totals.
             let mut replayed: BTreeMap<&str, u64> = BTreeMap::new();
@@ -727,6 +827,7 @@ mod imp {
                 }
                 self.push(&mut inner, ev);
             }
+            inner.unsettled = inner.events.len();
             inner.next_span += taken.next_span;
             inner.open_spans += taken.open_spans;
             for (name, h) in taken.histograms {
@@ -746,7 +847,9 @@ mod imp {
 
         /// Counter totals, sorted by name.
         pub fn counters(&self) -> Vec<(String, u64)> {
-            self.lock()
+            let mut inner = self.lock();
+            inner.settle();
+            inner
                 .counters
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
@@ -755,7 +858,9 @@ mod imp {
 
         /// The total of one counter (zero when never incremented).
         pub fn counter(&self, name: &str) -> u64 {
-            self.lock().counters.get(name).copied().unwrap_or(0)
+            let mut inner = self.lock();
+            inner.settle();
+            inner.counters.get(name).copied().unwrap_or(0)
         }
 
         /// Histogram snapshots, sorted by name.
@@ -823,11 +928,11 @@ mod imp {
         pub fn open(
             rec: Option<&Arc<Recorder>>,
             name: &'static str,
-            fields: &[(&'static str, Value)],
+            fields: impl Into<Fields>,
         ) -> Span {
             match rec {
                 Some(r) => {
-                    let (id, open_ts_ns) = r.span_open(name, fields);
+                    let (id, open_ts_ns) = r.span_open(name, fields.into());
                     Span {
                         rec: Some(Arc::clone(r)),
                         id,
@@ -846,7 +951,7 @@ mod imp {
 
         /// An inert span (records nothing).
         pub fn none() -> Span {
-            Span::open(None, "", &[])
+            Span::open(None, "", Fields::new())
         }
 
         /// Nanoseconds since the span opened (zero for an inert span).
@@ -858,9 +963,9 @@ mod imp {
         }
 
         /// Closes the span, attaching `fields` to the close event.
-        pub fn close(mut self, fields: &[(&'static str, Value)]) {
+        pub fn close(mut self, fields: impl Into<Fields>) {
             if let Some(rec) = self.rec.take() {
-                rec.span_close(self.id, self.name, self.open_ts_ns, fields);
+                rec.span_close(self.id, self.name, self.open_ts_ns, fields.into());
             }
         }
     }
@@ -868,7 +973,7 @@ mod imp {
     impl Drop for Span {
         fn drop(&mut self) {
             if let Some(rec) = self.rec.take() {
-                rec.span_close(self.id, self.name, self.open_ts_ns, &[]);
+                rec.span_close(self.id, self.name, self.open_ts_ns, Fields::new());
             }
         }
     }
@@ -896,7 +1001,7 @@ mod imp {
 
         /// No-op.
         #[inline]
-        pub fn event(&self, _name: &'static str, _fields: &[(&'static str, Value)]) {}
+        pub fn event(&self, _name: &'static str, _fields: impl Into<Fields>) {}
 
         /// No-op.
         #[inline]
@@ -971,7 +1076,7 @@ mod imp {
         pub fn open(
             _rec: Option<&Arc<Recorder>>,
             _name: &'static str,
-            _fields: &[(&'static str, Value)],
+            _fields: impl Into<Fields>,
         ) -> Span {
             Span
         }
@@ -990,7 +1095,7 @@ mod imp {
 
         /// No-op.
         #[inline]
-        pub fn close(self, _fields: &[(&'static str, Value)]) {}
+        pub fn close(self, _fields: impl Into<Fields>) {}
     }
 }
 
@@ -1021,6 +1126,42 @@ mod tests {
         // draining empties the buffer but keeps totals
         assert!(rec.drain_events().is_empty());
         assert_eq!(rec.counter("a"), 8);
+    }
+
+    #[test]
+    fn running_totals_are_stamped_once_whenever_read() {
+        let rec = Recorder::new();
+        rec.add("a", 3);
+        // A read between recordings folds what is buffered so far.
+        assert_eq!(rec.counter("a"), 3);
+        rec.add_many(vec![("a".into(), 2), ("b".into(), 1)]);
+        assert_eq!(
+            rec.counters(),
+            vec![("a".to_string(), 5), ("b".to_string(), 1)]
+        );
+        rec.add("a", 4);
+        let stamped: Vec<(String, Option<u64>)> = rec
+            .drain_events()
+            .iter()
+            .map(|e| (e.name.to_string(), e.value))
+            .collect();
+        assert_eq!(
+            stamped,
+            [("a", 3), ("a", 5), ("b", 1), ("a", 9)]
+                .map(|(n, v)| (n.to_string(), Some(v)))
+        );
+        assert_eq!(rec.snapshot().counter("a"), 9);
+    }
+
+    #[test]
+    fn names_compare_by_content() {
+        let shared = Name::Shared("search.cache_hit.CTP".into());
+        let owned = Name::from(format!("search.cache_hit.{}", "CTP"));
+        assert_eq!(shared, owned);
+        assert_eq!(shared, "search.cache_hit.CTP");
+        assert_eq!(Name::from("x"), Name::from("x".to_string()));
+        assert_eq!(shared.to_string(), "search.cache_hit.CTP");
+        assert_eq!(Value::str(shared.clone()), Value::Str(owned));
     }
 
     #[test]
