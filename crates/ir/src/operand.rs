@@ -79,22 +79,15 @@ impl Operand {
         }
     }
 
-    /// All variables *read* when this operand is evaluated as an rvalue:
-    /// the scalar itself, or every subscript variable of an element access
-    /// plus (for reads) the array base handled separately by the dependence
-    /// analyzer.
-    pub fn subscript_vars(&self) -> Vec<Sym> {
-        match self {
-            Operand::Elem { subs, .. } => {
-                let mut out = Vec::new();
-                for s in subs {
-                    out.extend(s.vars());
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            _ => Vec::new(),
+    /// Fills `out` with the subscript variables of an element access,
+    /// each once, in `Sym` order; any other operand leaves it empty. The
+    /// buffer is the caller's so a loop over many operands can reuse one.
+    pub fn subscript_vars(&self, out: &mut Vec<Sym>) {
+        out.clear();
+        if let Operand::Elem { subs, .. } = self {
+            out.extend(subs.iter().flat_map(|s| s.vars()));
+            out.sort_unstable();
+            out.dedup();
         }
     }
 
@@ -173,7 +166,11 @@ mod tests {
         let i = t.intern("i");
         let e = Operand::elem1(a, AffineExpr::var(i));
         assert_eq!(e.base(), Some(a));
-        assert_eq!(e.subscript_vars(), vec![i]);
+        let mut vars = vec![a];
+        e.subscript_vars(&mut vars);
+        assert_eq!(vars, vec![i]);
+        Operand::Var(i).subscript_vars(&mut vars);
+        assert!(vars.is_empty());
         assert!(Operand::int(3).is_const());
         assert!(Operand::None.is_none());
         assert_eq!(Operand::Var(i).as_var(), Some(i));
