@@ -1,6 +1,6 @@
 //! Dependence kinds, direction vectors and edges.
 
-use gospel_ir::{OperandPos, StmtId, Sym};
+use gospel_ir::{OperandPos, StmtId, Sym, SymbolTable};
 use std::fmt;
 
 /// The four dependence kinds of the paper.
@@ -236,6 +236,23 @@ impl DepEdge {
     pub fn carried_at(&self, k: usize) -> bool {
         self.dirvec.iter().take(k).all(|d| *d == Direction::Eq)
             && self.dirvec.get(k).is_some_and(|d| *d != Direction::Eq)
+    }
+
+    /// The edge as one line of `genesis-opt deps` output: kind, source
+    /// and sink, variable, operand slots and direction vector, e.g.
+    /// `flow_dep   s3 -> s5  var x  opr (1,2)  dir (<)`.
+    pub fn line(&self, syms: &SymbolTable) -> String {
+        let dirs: String = self.dirvec.iter().map(|d| d.symbol()).collect();
+        format!(
+            "{:<10} {} -> {}  var {}  opr ({},{})  dir ({})",
+            self.kind.gospel_name(),
+            self.src,
+            self.dst,
+            syms.name(self.var),
+            self.src_pos.index(),
+            self.dst_pos.index(),
+            dirs
+        )
     }
 }
 
