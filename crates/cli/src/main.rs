@@ -132,9 +132,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let session = build_session(prog, args)?;
             let ms = session.matches(name).map_err(|e| e.to_string())?;
             for (i, b) in ms.bindings.iter().enumerate() {
-                let pairs: Vec<String> =
-                    b.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-                println!("point {}: {}", i + 1, pairs.join(", "));
+                println!("point {}: {}", i + 1, b.line());
             }
             println!("{} application point(s); search cost {}", ms.bindings.len(), ms.cost);
             Ok(())

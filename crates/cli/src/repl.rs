@@ -59,9 +59,7 @@ pub fn run(
             ["points", name] => match session.matches(name) {
                 Ok(ms) => {
                     for (i, b) in ms.bindings.iter().enumerate() {
-                        let pairs: Vec<String> =
-                            b.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
-                        writeln!(out, "  point {}: {}", i + 1, pairs.join(", "))?;
+                        writeln!(out, "  point {}: {}", i + 1, b.line())?;
                     }
                     writeln!(out, "  {} point(s)", ms.bindings.len())?;
                 }
