@@ -57,6 +57,7 @@ mod error;
 mod explain;
 pub mod fault;
 pub mod index;
+mod resolve;
 mod rt;
 mod session;
 mod solve;
