@@ -86,46 +86,48 @@ impl std::error::Error for LexError {}
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
-    let bytes: Vec<char> = src.chars().collect();
+    // Every token is ASCII, so the scan walks bytes; a non-ASCII
+    // character can only appear in a comment or as a lexing error.
+    let bytes = src.as_bytes();
     let mut i = 0usize;
 
     while i < bytes.len() {
         let c = bytes[i];
         match c {
-            '\n' => {
+            b'\n' => {
                 line += 1;
                 i += 1;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if bytes.get(i + 1) == Some(&'*') => {
+            b' ' | b'\t' | b'\r' => i += 1,
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 i += 2;
-                while i < bytes.len() && !(bytes[i] == '*' && bytes.get(i + 1) == Some(&'/')) {
-                    if bytes[i] == '\n' {
+                while i < bytes.len() && !(bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/')) {
+                    if bytes[i] == b'\n' {
                         line += 1;
                     }
                     i += 1;
                 }
                 i = (i + 2).min(bytes.len());
             }
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            '-' if bytes.get(i + 1) == Some(&'-') => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b'-' if bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            _ if c.is_ascii_alphabetic() || c == '_' || c == '@' => {
+            _ if c.is_ascii_alphabetic() || c == b'_' || c == b'@' => {
                 let start = i;
                 while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_' || bytes[i] == '@')
+                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'@')
                 {
                     i += 1;
                 }
                 out.push(Token {
-                    kind: TokenKind::Ident(bytes[start..i].iter().collect()),
+                    kind: TokenKind::Ident(src[start..i].to_owned()),
                     line,
                 });
             }
@@ -134,16 +136,16 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 let mut is_real = false;
                 while i < bytes.len()
                     && (bytes[i].is_ascii_digit()
-                        || (bytes[i] == '.'
+                        || (bytes[i] == b'.'
                             && !is_real
                             && bytes.get(i + 1).is_some_and(|d| d.is_ascii_digit())))
                 {
-                    if bytes[i] == '.' {
+                    if bytes[i] == b'.' {
                         is_real = true;
                     }
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
+                let text = &src[start..i];
                 let kind = if is_real {
                     TokenKind::Real(text.parse().map_err(|_| LexError { ch: '.', line })?)
                 } else {
@@ -153,24 +155,27 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
             _ => {
                 let (kind, adv) = match (c, bytes.get(i + 1)) {
-                    ('=', Some('=')) => (TokenKind::EqEq, 2),
-                    ('!', Some('=')) => (TokenKind::Ne, 2),
-                    ('<', Some('=')) => (TokenKind::Le, 2),
-                    ('>', Some('=')) => (TokenKind::Ge, 2),
-                    ('=', _) => (TokenKind::Assign, 1),
-                    ('<', _) => (TokenKind::Lt, 1),
-                    ('>', _) => (TokenKind::Gt, 1),
-                    ('(', _) => (TokenKind::LParen, 1),
-                    (')', _) => (TokenKind::RParen, 1),
-                    ('[', _) => (TokenKind::LBracket, 1),
-                    (']', _) => (TokenKind::RBracket, 1),
-                    (',', _) => (TokenKind::Comma, 1),
-                    (';', _) => (TokenKind::Semi, 1),
-                    (':', _) => (TokenKind::Colon, 1),
-                    ('.', _) => (TokenKind::Dot, 1),
-                    ('*', _) => (TokenKind::Star, 1),
-                    ('-', _) => (TokenKind::Minus, 1),
-                    (other, _) => return Err(LexError { ch: other, line }),
+                    (b'=', Some(b'=')) => (TokenKind::EqEq, 2),
+                    (b'!', Some(b'=')) => (TokenKind::Ne, 2),
+                    (b'<', Some(b'=')) => (TokenKind::Le, 2),
+                    (b'>', Some(b'=')) => (TokenKind::Ge, 2),
+                    (b'=', _) => (TokenKind::Assign, 1),
+                    (b'<', _) => (TokenKind::Lt, 1),
+                    (b'>', _) => (TokenKind::Gt, 1),
+                    (b'(', _) => (TokenKind::LParen, 1),
+                    (b')', _) => (TokenKind::RParen, 1),
+                    (b'[', _) => (TokenKind::LBracket, 1),
+                    (b']', _) => (TokenKind::RBracket, 1),
+                    (b',', _) => (TokenKind::Comma, 1),
+                    (b';', _) => (TokenKind::Semi, 1),
+                    (b':', _) => (TokenKind::Colon, 1),
+                    (b'.', _) => (TokenKind::Dot, 1),
+                    (b'*', _) => (TokenKind::Star, 1),
+                    (b'-', _) => (TokenKind::Minus, 1),
+                    _ => {
+                        let ch = src[i..].chars().next().unwrap_or('\0');
+                        return Err(LexError { ch, line });
+                    }
                 };
                 out.push(Token { kind, line });
                 i += adv;
@@ -257,6 +262,12 @@ mod tests {
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 4);
+    }
+
+    #[test]
+    fn non_ascii_outside_comments_is_reported_whole() {
+        assert_eq!(kinds("/* café */ a")[0], TokenKind::Ident("a".into()));
+        assert_eq!(lex("a é").unwrap_err(), LexError { ch: 'é', line: 1 });
     }
 
     #[test]
