@@ -120,8 +120,8 @@ fn assert_counters_monotone(events: &[Event]) {
         if e.kind != EventKind::Counter {
             continue;
         }
-        let value = e.value.unwrap_or_else(|| panic!("{}: counter without value", e.name));
-        let delta = e.delta.unwrap_or_else(|| panic!("{}: counter without delta", e.name));
+        let value = e.value().unwrap_or_else(|| panic!("{}: counter without value", e.name));
+        let delta = e.delta().unwrap_or_else(|| panic!("{}: counter without delta", e.name));
         let prev = totals.get(e.name.as_ref()).copied().unwrap_or(0);
         assert!(
             value >= prev,
@@ -148,14 +148,14 @@ fn assert_spans_balanced(events: &[Event]) {
     for e in events {
         match e.kind {
             EventKind::SpanOpen => {
-                let id = e.span.expect("span_open without id");
+                let id = e.span().expect("span_open without id");
                 assert!(
                     open.insert(id, e.name.as_ref()).is_none(),
                     "span id {id} opened twice"
                 );
             }
             EventKind::SpanClose => {
-                let id = e.span.expect("span_close without id");
+                let id = e.span().expect("span_close without id");
                 let opened_as = open
                     .remove(&id)
                     .unwrap_or_else(|| panic!("span id {id} closed but never opened"));
@@ -219,7 +219,7 @@ fn negative_cache_hits_surface_as_a_per_optimizer_counter() {
     let hits: u64 = events
         .iter()
         .filter(|e| e.kind == EventKind::Counter && e.name == "search.cache_hit.REDUN")
-        .filter_map(|e| e.delta)
+        .filter_map(|e| e.delta())
         .sum();
     assert!(
         hits > 0,
@@ -361,7 +361,7 @@ fn degraded_search_announces_its_reason_in_the_trace() {
     let healed: u64 = events
         .iter()
         .filter(|e| e.kind == EventKind::Counter && e.name == "search.degraded.dep_divergence")
-        .filter_map(|e| e.delta)
+        .filter_map(|e| e.delta())
         .sum();
     assert!(healed > 0, "the heal must also surface as a counter");
 }
@@ -376,7 +376,7 @@ fn parole_lifecycle_is_traced_from_trial_to_release() {
     let paroles: u64 = events
         .iter()
         .filter(|e| e.kind == EventKind::Counter && e.name == "guard.parole")
-        .filter_map(|e| e.delta)
+        .filter_map(|e| e.delta())
         .sum();
     assert!(paroles >= 2, "trial and release must both bump guard.parole");
 }
@@ -389,7 +389,7 @@ fn batch_retries_are_counted_and_attributed_per_file() {
     let retries: u64 = events
         .iter()
         .filter(|e| e.kind == EventKind::Counter && e.name == "batch.file_retry")
-        .filter_map(|e| e.delta)
+        .filter_map(|e| e.delta())
         .sum();
     assert_eq!(retries, 3, "one retry per file, no more");
     for i in 0..3 {
@@ -443,7 +443,7 @@ fn funnel_totals(events: &[Event]) -> std::collections::BTreeMap<(String, String
         };
         *totals
             .entry((opt.to_string(), phase.to_string()))
-            .or_insert(0) += e.delta.unwrap_or(0);
+            .or_insert(0) += e.delta().unwrap_or(0);
     }
     totals
 }
