@@ -13,21 +13,22 @@
 //! Emits `BENCH_incremental.json` (override with `--out PATH`); `--smoke`
 //! drops the repeat count for CI.
 //!
-//! `gospel-bench match` runs the matcher comparison three ways: the full
-//! anchor scan, the per-optimizer indexed searcher ([`genesis::StmtIndex`]
-//! plus negative match cache), and the fused catalog automaton
-//! ([`genesis::FusedAutomaton`]), with dependence maintenance held
-//! incremental in every arm so the delta is the match phase alone. All
-//! three arms share one [`genesis::SessionCaches`] across the optimizer
-//! chain — the amortization the fused automaton exists to exploit. It
-//! cross-checks that every matcher binds identical application points and
-//! lands on the same final program, times the match phase via the
-//! driver's `driver.search_ns`/`driver.pattern_ns` histograms, measures
-//! batch throughput at 1/2/4 threads through [`genesis::run_batch`], and
-//! emits `BENCH_match.json`. `--scan-gate 1.05` exits nonzero if the
-//! indexed match-phase geomean falls below 1/1.05 of the scan;
-//! `--fused-gate 1.0` exits nonzero if the fused *wall-clock* geomean
-//! falls below the scan's.
+//! Both modes run the chain the way a `Session` does: one
+//! [`genesis::SessionCaches`] for the whole chain, with the catalog
+//! [`genesis::FusedAutomaton`] built once up front when the default
+//! matcher is fused.
+//!
+//! `gospel-bench match` runs the matcher comparison two ways: the full
+//! anchor scan and the fused catalog automaton, with dependence
+//! maintenance held incremental in both arms so the delta is the match
+//! phase alone. It cross-checks that the fused matcher binds the scan's
+//! application points and lands on the same final program, times the
+//! match phase via the driver's `driver.search_ns`/`driver.pattern_ns`
+//! histograms, measures batch throughput at 1/2/4 threads through
+//! [`genesis::run_batch`], and emits `BENCH_match.json`.
+//! `--scan-gate 1.05` exits nonzero if the fused match-phase geomean
+//! falls below 1/1.05 of the scan; `--fused-gate 1.0` exits nonzero if
+//! the fused *wall-clock* geomean falls below the scan's.
 
 use genesis::{
     ApplyMode, ApplyReport, Bindings, Driver, FusedAutomaton, MatcherKind, RunError, SessionCaches,
@@ -56,10 +57,47 @@ struct ModeRun {
     dep_edges_added: usize,
 }
 
-/// Runs the whole sequence over one program in the given mode. With a
-/// recorder attached every driver emits the full structured-event stream
-/// (the `--trace-gate` overhead measurement exercises exactly that path);
-/// `trace_sample` keeps one in N attempt spans, as in production tracing.
+/// Runs the optimizer chain over one program the way a `Session` does:
+/// one [`SessionCaches`] carried across the chain, with the catalog
+/// automaton built once up front under the fused matcher (the drivers
+/// then keep it current by delta replay). `incremental` picks the
+/// dependence maintenance; full mode drops the carried graph before each
+/// optimizer, so every driver re-analyzes as the seed driver did. With a
+/// recorder attached every driver emits the full structured-event
+/// stream; `trace_sample` keeps one in N attempt spans, as in production
+/// tracing. Returns the final program and one report per optimizer.
+fn run_chain(
+    base: &Program,
+    opts: &[genesis::CompiledOptimizer],
+    matcher: MatcherKind,
+    incremental: bool,
+    verify: bool,
+    recorder: Option<&Arc<Recorder>>,
+    trace_sample: u64,
+) -> Result<(Program, Vec<ApplyReport>), RunError> {
+    let mut prog = base.clone();
+    let mut reports = Vec::with_capacity(opts.len());
+    let mut caches = SessionCaches::new();
+    if matcher == MatcherKind::Fused {
+        caches.automaton = Some(FusedAutomaton::build(opts, &prog));
+    }
+    for opt in opts {
+        let mut d = Driver::new(opt);
+        d.incremental_deps = incremental;
+        d.verify_deps = verify;
+        d.matcher = matcher;
+        d.recorder = recorder.cloned();
+        d.trace_sample = trace_sample;
+        if !incremental {
+            caches.deps = None;
+        }
+        reports.push(d.apply_with(&mut prog, ApplyMode::AllPoints, &mut caches)?);
+    }
+    Ok((prog, reports))
+}
+
+/// Runs the whole sequence over one program in the given dependence
+/// mode, under the session's default matcher (see [`run_chain`]).
 fn run_sequence(
     base: &Program,
     opts: &[genesis::CompiledOptimizer],
@@ -68,9 +106,17 @@ fn run_sequence(
     recorder: Option<&Arc<Recorder>>,
     trace_sample: u64,
 ) -> Result<ModeRun, RunError> {
-    let mut prog = base.clone();
+    let (prog, reports) = run_chain(
+        base,
+        opts,
+        genesis::matcher_default(),
+        incremental,
+        verify,
+        recorder,
+        trace_sample,
+    )?;
     let mut total = ModeRun {
-        prog: base.clone(),
+        prog,
         applications: 0,
         incremental_updates: 0,
         full_recomputes: 0,
@@ -78,25 +124,7 @@ fn run_sequence(
         dep_edges_dropped: 0,
         dep_edges_added: 0,
     };
-    // Incremental mode also carries the graph across the chain (the
-    // session cache); full mode re-analyzes per optimizer, as the seed
-    // driver did.
-    let mut cache = None;
-    for opt in opts {
-        let mut d = Driver::new(opt);
-        d.incremental_deps = incremental;
-        d.verify_deps = verify;
-        // Pin the per-optimizer indexed matcher so this benchmark keeps
-        // measuring dependence maintenance alone, independent of the
-        // session default (the matcher comparison lives in `match` mode).
-        d.matcher = MatcherKind::Indexed;
-        d.recorder = recorder.cloned();
-        d.trace_sample = trace_sample;
-        let report: ApplyReport = if incremental {
-            d.apply_cached(&mut prog, ApplyMode::AllPoints, &mut cache)?
-        } else {
-            d.apply(&mut prog, ApplyMode::AllPoints)?
-        };
+    for report in reports {
         total.applications += report.applications;
         total.incremental_updates += report.incremental_updates;
         total.full_recomputes += report.full_recomputes;
@@ -104,7 +132,6 @@ fn run_sequence(
         total.dep_edges_dropped += report.dep_edges_dropped;
         total.dep_edges_added += report.dep_edges_added;
     }
-    total.prog = prog;
     Ok(total)
 }
 
@@ -274,11 +301,11 @@ fn measure_trace_overhead(
 }
 
 // ---------------------------------------------------------------------------
-// `match` mode: scan vs indexed vs fused candidate search.
+// `match` mode: scan vs fused candidate search.
 // ---------------------------------------------------------------------------
 
 /// One full sequence over one program under one matcher. Dependence
-/// maintenance is incremental in every arm and all arms carry one
+/// maintenance is incremental in both arms and both carry one
 /// [`SessionCaches`] across the optimizer chain, so the only work that
 /// differs between them is the match phase itself.
 struct MatchRun {
@@ -286,7 +313,6 @@ struct MatchRun {
     applications: usize,
     anchor_visits: u64,
     candidates_pruned: u64,
-    cache_hits: u64,
     /// Per-optimizer application bindings, for the differential cross-check.
     points: Vec<Vec<Bindings>>,
 }
@@ -297,36 +323,20 @@ fn run_match_sequence(
     matcher: MatcherKind,
     recorder: Option<&Arc<Recorder>>,
 ) -> Result<MatchRun, RunError> {
-    let mut prog = base.clone();
+    let (prog, reports) = run_chain(base, opts, matcher, true, false, recorder, 1)?;
     let mut total = MatchRun {
-        prog: base.clone(),
+        prog,
         applications: 0,
         anchor_visits: 0,
         candidates_pruned: 0,
-        cache_hits: 0,
-        points: Vec::with_capacity(opts.len()),
+        points: Vec::with_capacity(reports.len()),
     };
-    // One cache bundle for the whole chain — the session amortization the
-    // fused automaton exists to exploit. The fused arm builds the catalog
-    // automaton once up front, exactly as `Session::apply` does; the
-    // drivers then keep it current by delta replay.
-    let mut caches = SessionCaches::new();
-    if matcher == MatcherKind::Fused {
-        caches.automaton = Some(FusedAutomaton::build(opts, &prog));
-    }
-    for opt in opts {
-        let mut d = Driver::new(opt);
-        d.incremental_deps = true;
-        d.matcher = matcher;
-        d.recorder = recorder.cloned();
-        let report = d.apply_with(&mut prog, ApplyMode::AllPoints, &mut caches)?;
+    for report in reports {
         total.applications += report.applications;
         total.anchor_visits += report.cost.anchor_visits;
         total.candidates_pruned += report.candidates_pruned;
-        total.cache_hits += report.cache_hits;
         total.points.push(report.points);
     }
-    total.prog = prog;
     Ok(total)
 }
 
@@ -334,7 +344,7 @@ fn run_match_sequence(
 /// the driver's per-attempt histograms: `driver.search_ns` is the whole
 /// precondition search (pattern + dependence phases), `driver.pattern_ns`
 /// the pattern-matching phase alone — candidate enumeration plus clause
-/// format evaluation, the part the index and automaton replace. Every arm
+/// format evaluation, the part the automaton replaces. Every arm
 /// carries the same recorder and timer overhead, so the ratios are
 /// apples-to-apples.
 fn time_match_mode(
@@ -372,15 +382,10 @@ struct MatchRow {
     name: &'static str,
     applications: usize,
     scan_visits: u64,
-    indexed_visits: u64,
     fused_visits: u64,
     candidates_pruned: u64,
-    cache_hits: u64,
     scan: MatchTimes,
-    indexed: MatchTimes,
     fused: MatchTimes,
-    /// scan match-phase ns over indexed match-phase ns.
-    match_speedup: f64,
     /// scan match-phase ns over fused match-phase ns.
     fused_match_speedup: f64,
     /// scan wall ns over fused wall ns — the end-to-end win the fused
@@ -392,14 +397,14 @@ fn emit_match_json(
     rows: &[MatchRow],
     seq: &[String],
     repeats: usize,
-    geomeans: (f64, f64, f64),
+    geomeans: (f64, f64),
     items: usize,
     batch: &[(usize, u128)],
 ) -> String {
-    let (geomean, fused_match_geomean, fused_wall_geomean) = geomeans;
+    let (fused_match_geomean, fused_wall_geomean) = geomeans;
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"match\",\n");
-    out.push_str("  \"matchers\": [\"scan\", \"indexed\", \"fused\"],\n");
+    out.push_str("  \"matchers\": [\"scan\", \"fused\"],\n");
     out.push_str(&format!(
         "  \"sequence\": [{}],\n",
         seq.iter()
@@ -412,37 +417,29 @@ fn emit_match_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"applications\": {}, \"scan_anchor_visits\": {}, \
-             \"indexed_anchor_visits\": {}, \"fused_anchor_visits\": {}, \
-             \"candidates_pruned\": {}, \"cache_hits\": {}, \
-             \"scan_wall_ns\": {}, \"indexed_wall_ns\": {}, \"fused_wall_ns\": {}, \
-             \"scan_search_ns\": {}, \"indexed_search_ns\": {}, \"fused_search_ns\": {}, \
-             \"scan_match_ns\": {}, \"indexed_match_ns\": {}, \"fused_match_ns\": {}, \
-             \"match_speedup\": {:.3}, \"fused_match_speedup\": {:.3}, \
+             \"fused_anchor_visits\": {}, \"candidates_pruned\": {}, \
+             \"scan_wall_ns\": {}, \"fused_wall_ns\": {}, \
+             \"scan_search_ns\": {}, \"fused_search_ns\": {}, \
+             \"scan_match_ns\": {}, \"fused_match_ns\": {}, \
+             \"fused_match_speedup\": {:.3}, \
              \"fused_wall_speedup\": {:.3}, \"bindings_checked\": true}}{}\n",
             json_escape(r.name),
             r.applications,
             r.scan_visits,
-            r.indexed_visits,
             r.fused_visits,
             r.candidates_pruned,
-            r.cache_hits,
             r.scan.0,
-            r.indexed.0,
             r.fused.0,
             r.scan.1,
-            r.indexed.1,
             r.fused.1,
             r.scan.2,
-            r.indexed.2,
             r.fused.2,
-            r.match_speedup,
             r.fused_match_speedup,
             r.fused_wall_speedup,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!("  \"geomean_match_speedup\": {geomean:.3},\n"));
     out.push_str(&format!(
         "  \"geomean_fused_match_speedup\": {fused_match_geomean:.3},\n"
     ));
@@ -542,29 +539,25 @@ fn run_match_bench(args: &[String]) {
     let mut rows = Vec::new();
 
     for (name, base) in &suite {
-        // Differential cross-check (untimed): every matcher must find
+        // Differential cross-check (untimed): the fused matcher must find
         // exactly the bindings the scanning searcher finds, in the same
         // order, application by application, and land on the same final
         // program.
         let scan = run_match_sequence(base, &opts, MatcherKind::Scan, None)
             .unwrap_or_else(|e| panic!("{name}: scan-mode run failed: {e}"));
-        let indexed = run_match_sequence(base, &opts, MatcherKind::Indexed, None)
-            .unwrap_or_else(|e| panic!("{name}: indexed-mode run failed: {e}"));
         let fused = run_match_sequence(base, &opts, MatcherKind::Fused, None)
             .unwrap_or_else(|e| panic!("{name}: fused-mode run failed: {e}"));
-        for (label, arm) in [("indexed", &indexed), ("fused", &fused)] {
-            assert_eq!(
-                scan.points, arm.points,
-                "{name}: {label} search bound different application points than the scan"
-            );
-            assert!(
-                DisplayProgram(&scan.prog).to_string() == DisplayProgram(&arm.prog).to_string()
-                    && scan.applications == arm.applications,
-                "{name}: modes disagree (scan {} apps, {label} {} apps)",
-                scan.applications,
-                arm.applications
-            );
-        }
+        assert_eq!(
+            scan.points, fused.points,
+            "{name}: fused search bound different application points than the scan"
+        );
+        assert!(
+            DisplayProgram(&scan.prog).to_string() == DisplayProgram(&fused.prog).to_string()
+                && scan.applications == fused.applications,
+            "{name}: modes disagree (scan {} apps, fused {} apps)",
+            scan.applications,
+            fused.applications
+        );
 
         let time = |matcher: MatcherKind| {
             time_match_mode(base, &opts, matcher, repeats).unwrap_or_else(|e| {
@@ -572,20 +565,15 @@ fn run_match_bench(args: &[String]) {
             })
         };
         let scan_t = time(MatcherKind::Scan);
-        let indexed_t = time(MatcherKind::Indexed);
         let fused_t = time(MatcherKind::Fused);
         rows.push(MatchRow {
             name,
             applications: fused.applications,
             scan_visits: scan.anchor_visits,
-            indexed_visits: indexed.anchor_visits,
             fused_visits: fused.anchor_visits,
             candidates_pruned: fused.candidates_pruned,
-            cache_hits: fused.cache_hits,
             scan: scan_t,
-            indexed: indexed_t,
             fused: fused_t,
-            match_speedup: scan_t.2 as f64 / indexed_t.2.max(1) as f64,
             fused_match_speedup: scan_t.2 as f64 / fused_t.2.max(1) as f64,
             fused_wall_speedup: scan_t.0 as f64 / fused_t.0.max(1) as f64,
         });
@@ -594,35 +582,29 @@ fn run_match_bench(args: &[String]) {
     let geomean_of = |f: &dyn Fn(&MatchRow) -> f64| {
         (rows.iter().map(|r| f(r).ln()).sum::<f64>() / rows.len() as f64).exp()
     };
-    let geomean = geomean_of(&|r| r.match_speedup);
     let fused_match_geomean = geomean_of(&|r| r.fused_match_speedup);
     let fused_wall_geomean = geomean_of(&|r| r.fused_wall_speedup);
 
     println!(
-        "{:<12} {:>5} {:>8} {:>8} {:>8} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8}",
-        "workload", "apps", "scan-av", "idx-av", "fus-av", "scan-match", "idx-match", "fus-match",
-        "idx-spd", "fus-spd", "fus-wall"
+        "{:<12} {:>5} {:>8} {:>8} {:>11} {:>11} {:>8} {:>8}",
+        "workload", "apps", "scan-av", "fus-av", "scan-match", "fus-match", "fus-spd", "fus-wall"
     );
     for r in &rows {
         println!(
-            "{:<12} {:>5} {:>8} {:>8} {:>8} {:>11} {:>11} {:>11} {:>7.2}x {:>7.2}x {:>7.2}x",
+            "{:<12} {:>5} {:>8} {:>8} {:>11} {:>11} {:>7.2}x {:>7.2}x",
             r.name,
             r.applications,
             r.scan_visits,
-            r.indexed_visits,
             r.fused_visits,
             r.scan.2,
-            r.indexed.2,
             r.fused.2,
-            r.match_speedup,
             r.fused_match_speedup,
             r.fused_wall_speedup
         );
     }
     println!(
-        "geomean over {} workloads: match-phase indexed {:.2}x, fused {:.2}x; fused wall {:.2}x",
+        "geomean over {} workloads: fused match phase {:.2}x, fused wall {:.2}x",
         rows.len(),
-        geomean,
         fused_match_geomean,
         fused_wall_geomean
     );
@@ -663,7 +645,7 @@ fn run_match_bench(args: &[String]) {
         &rows,
         &seq,
         repeats,
-        (geomean, fused_match_geomean, fused_wall_geomean),
+        (fused_match_geomean, fused_wall_geomean),
         suite.len() * BATCH_REPLICAS,
         &batch,
     );
@@ -674,9 +656,10 @@ fn run_match_bench(args: &[String]) {
     println!("wrote {out_path}");
 
     if let Some(gate) = scan_gate {
-        if geomean < 1.0 / gate {
+        if fused_match_geomean < 1.0 / gate {
             eprintln!(
-                "error: indexed search geomean {geomean:.3}x is slower than the 1/{gate} gate"
+                "error: fused match-phase geomean {fused_match_geomean:.3}x vs scan is slower \
+                 than the 1/{gate} gate"
             );
             std::process::exit(1);
         }

@@ -1,7 +1,7 @@
 //! # genesis-chaos — the chaos campaign harness
 //!
 //! Robustness in this workspace is built from layered recovery
-//! mechanisms: the driver's degradation ladder (indexed search → scan →
+//! mechanisms: the driver's degradation ladder (fused automaton → scan →
 //! full re-analysis), the guard's rollback/quarantine/parole and
 //! budget-aware transient retry, and the batch pool's per-file
 //! supervision. Each layer has unit tests; this crate tests the *whole
@@ -13,9 +13,9 @@
 //! - **State restoration** — a rejected application leaves the program
 //!   bit-identical to the pre-fault checkpoint; a transparently recovered
 //!   one (retry, ladder) produces exactly the fault-free result.
-//! - **Cache consistency** — the session-carried dependence graph,
-//!   statement index, and negative match caches agree with a from-scratch
-//!   rebuild ([`genesis::SessionCaches::audit`]).
+//! - **Cache consistency** — the session-carried dependence graph and
+//!   fused anchor automaton agree with a from-scratch rebuild
+//!   ([`genesis::SessionCaches::audit`]).
 //! - **Trace integrity** — every span closed, every event line valid
 //!   JSONL.
 //! - **Quarantine discipline** — incriminating faults quarantine, budget
@@ -140,7 +140,7 @@ fn clean_result(
 
 /// Executes `steps` over a fresh [`GuardedSession`] on `prog` and checks
 /// each step's expectation plus the universal invariants (program
-/// restoration, cache/index consistency vs. a fresh rebuild, balanced
+/// restoration, cache consistency vs. a fresh rebuild, balanced
 /// spans, JSONL-valid events).
 pub fn run_script(
     prog: &Program,

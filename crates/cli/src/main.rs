@@ -29,7 +29,7 @@ USAGE:
     genesis-opt run <prog.mf> <OPT>                apply one optimizer, guarded
     genesis-opt seq <prog.mf> <OPT>[,<OPT>…]       apply a sequence, guarded
         run/seq options: [--validate] [--timeout-ms N] [--fuel N]
-        [--max-growth K] [--matcher fused|indexed|scan]
+        [--max-growth K] [--matcher fused|scan]
         [--inject KIND[@OPT][:N]]
         [--trace FILE] [--metrics] plus the apply options
     genesis-opt batch <prog.mf>… [--seq <OPT>,<OPT>…] [--threads N]
@@ -62,11 +62,10 @@ optimizer is rolled back and quarantined, and the exit code is nonzero.
 analysis|action|corrupt|panic|panic-action|timeout|fuel|corrupt-deps;
 a leading ~ makes it transient, firing at most once) to exercise the
 recovery paths. --no-degrade turns off the driver's degradation ladder
-(stale index → scan → full re-analysis) and restores hard failures.
+(stale automaton → scan → full re-analysis) and restores hard failures.
 --matcher picks the candidate searcher: `fused` (default) dispatches the
-whole catalog through one shared anchor automaton, `indexed` probes one
-per-optimizer statement index, `scan` walks every statement
-(`GENESIS_MATCHER` sets the default).
+whole catalog through one shared anchor automaton, `scan` walks every
+statement (`GENESIS_MATCHER` sets the default).
 --keep-going drives the remaining batch files past a failure; --retries
 and --file-timeout-ms bound each file's attempts; --report FILE writes
 the structured per-file batch report as JSON.
@@ -271,11 +270,11 @@ fn num_option<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
 fn parse_session_options(args: &[String]) -> Result<SessionOptions, String> {
     let matcher = match option(args, "--matcher") {
         None if flag(args, "--matcher") => {
-            return Err("--matcher requires a value (fused|indexed|scan)".into())
+            return Err("--matcher requires a value (fused|scan)".into())
         }
         None => genesis::matcher_default(),
         Some(v) => genesis::MatcherKind::parse(&v)
-            .ok_or_else(|| format!("--matcher: `{v}` is not one of fused|indexed|scan"))?,
+            .ok_or_else(|| format!("--matcher: `{v}` is not one of fused|scan"))?,
     };
     Ok(SessionOptions {
         recompute_deps: !flag(args, "--no-recompute"),

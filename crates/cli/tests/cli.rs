@@ -218,6 +218,15 @@ fn bad_inject_plan_fails_with_context() {
 }
 
 #[test]
+fn unknown_matcher_fails_naming_the_choices() {
+    let prog = write_prog();
+    let err = run_err(&["run", prog.0.to_str().unwrap(), "CTP", "--matcher", "indexed"]);
+    let line = last_error_line(&err);
+    assert!(line.contains("--matcher"), "{line}");
+    assert!(line.contains("fused|scan"), "{line}");
+}
+
+#[test]
 fn run_and_seq_apply_with_budgets() {
     let prog = write_prog();
     let path = prog.0.to_str().unwrap();

@@ -19,18 +19,18 @@
 //!   per-optimizer caches).
 //! * **program-scoped** — per-statement admission masks and per-optimizer
 //!   posting lists, maintained O(|delta| · trie-depth) by replaying
-//!   [`EditDelta`] journals exactly like [`crate::StmtIndex`]: touched
-//!   statements are unlisted via their recorded masks and reclassified
-//!   from the post-edit program. Structural batches reclassify the whole
-//!   program against the unchanged trie.
+//!   [`EditDelta`] journals: touched statements are unlisted via their
+//!   recorded masks and reclassified from the post-edit program.
+//!   Structural batches reclassify the whole program against the
+//!   unchanged trie.
 //!
 //! Loop-membership is part of the automaton's test vocabulary in
 //! principle (the anchor of a loop-shaped optimizer), but GOSpeL anchor
 //! clauses cannot constrain membership — `mem()` lives in the Depend
 //! section — and loop-anchored optimizers (`ICM`, `FUS`, `LUR`) enumerate
 //! the loop table directly, which is already small. They are recorded as
-//! *non-fused*: the searcher's degradation ladder (fused → per-optimizer
-//! index → scan) falls through for them.
+//! *non-fused*: the searcher's degradation ladder (fused → scan) falls
+//! through for them.
 //!
 //! Admission is sound for the same reason [`AnchorFilter`] admission is:
 //! a statement outside an optimizer's posting provably fails its anchor
@@ -39,14 +39,205 @@
 //! *is* the satisfying set and the searcher skips format evaluation
 //! entirely. The property suite asserts posting ≡ filter admission ≡
 //! scan satisfaction over random journaled edit batches.
+//!
+//! The module also owns the front end every matcher shares: the
+//! [`AnchorFilter`] extracted from an anchor clause by [`anchor_filter`],
+//! which the trie compiles and the scan path tests per visited statement
+//! for its funnel accounting.
 
 use crate::caches::normalize;
 use crate::compile::CompiledOptimizer;
-use crate::index::{anchor_filter, class_of, AnchorFilter};
 use gospel_dep::DepGraph;
-use gospel_ir::{EditDelta, Program, Quad, StmtId};
-use gospel_lang::ast::{ElemType, OperandClass};
+use gospel_ir::{EditDelta, Operand, Program, Quad, StmtId};
+use gospel_lang::ast::{Attr, BoolExpr, CmpOp, ElemType, OperandClass, PatternClause, ValExpr};
 use std::collections::HashMap;
+
+// ---------------------------------------------------------------------------
+// anchor-clause constraint extraction
+// ---------------------------------------------------------------------------
+
+/// The operand class `type(opr_N)` tests an operand against.
+pub(crate) fn class_of(o: &Operand) -> OperandClass {
+    match o {
+        Operand::Const(_) => OperandClass::Const,
+        Operand::Var(_) => OperandClass::Var,
+        Operand::Elem { .. } => OperandClass::Elem,
+        Operand::None => OperandClass::None,
+    }
+}
+
+/// What a pattern clause's format provably requires of its variable's
+/// statement, extracted once per optimizer and compiled into the
+/// automaton's trie instead of evaluating the format: an
+/// over-approximating opcode set and the operand classes pinned by
+/// top-level `type(var.opr_N) ==/!= class` conjuncts.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AnchorFilter {
+    /// Admissible `gospel_name` bucket keys — every statement satisfying
+    /// the format carries one of these opcodes. `None` when the format
+    /// does not bound the opcode (no narrowing possible).
+    pub opcodes: Option<Vec<&'static str>>,
+    /// `(position, class, positive)` requirements: position is 0-based
+    /// (`opr_1` → 0), and `positive` distinguishes `==` from `!=`.
+    pub classes: Vec<(usize, OperandClass, bool)>,
+    /// True when admission *equals* the format: every top-level conjunct
+    /// is either a pure opcode disjunction over the variable or an
+    /// extracted `type(var.opr_N)` test, so a statement is in the
+    /// admission set **iff** its format holds. The searcher then skips
+    /// format evaluation for posting members entirely. The equivalence
+    /// rests on two invariants checked by the differential suite: the
+    /// trie buckets on [`gospel_ir::Opcode::gospel_name`], the same key
+    /// the runtime's case-insensitive `opc ==` comparison uses, and the
+    /// trie's operand classification matches the runtime
+    /// `type()` test over a statically valid `opr_1..=3` position
+    /// (which can never raise a navigation error).
+    pub exact: bool,
+}
+
+impl AnchorFilter {
+    /// True when the filter can narrow a candidate enumeration at all.
+    pub fn narrows(&self) -> bool {
+        self.opcodes.is_some()
+    }
+
+    /// Whether one statement is in this filter's admission set — the
+    /// predicate form of fused posting membership. The scan matcher's
+    /// funnel accounting tests each visited anchor with this so both
+    /// matchers report identical automaton-admitted totals. A filter
+    /// with no opcode bound admits every statement (the automaton does
+    /// not fuse it either).
+    pub fn admits(&self, quad: &Quad) -> bool {
+        let Some(opcodes) = self.opcodes.as_ref() else {
+            return true;
+        };
+        if !opcodes.contains(&quad.op.gospel_name()) {
+            return false;
+        }
+        let cls = [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)];
+        self.classes
+            .iter()
+            .all(|&(pos, c, positive)| (cls[pos] == c) == positive)
+    }
+}
+
+/// Extracts the [`AnchorFilter`] of `var` from a clause's format.
+///
+/// The opcode bound is computed over the whole boolean structure:
+/// `var.opc == <name>` leaves bound to one opcode, conjunctions
+/// intersect, disjunctions union (an unbounded disjunct unbounds the
+/// whole disjunction). `any S: S.opc == assign OR S.opc == add` thus
+/// yields the two-bucket union, and `(S.opc == div AND S.opr_3 != 0)
+/// OR S.opc == mod` yields `{div, mod}`. Class constraints come from
+/// the top-level conjuncts only — inside a disjunction they hold on
+/// just one branch, so lifting them would over-narrow.
+pub fn anchor_filter(clause: &PatternClause, var: &str) -> AnchorFilter {
+    let Some(format) = clause.format.as_ref() else {
+        return AnchorFilter::default();
+    };
+    let mut filter = AnchorFilter {
+        opcodes: opcode_set(format, var),
+        classes: Vec::new(),
+        exact: false,
+    };
+    let mut atoms = Vec::new();
+    flatten_conj(format, &mut atoms);
+    let mut all_captured = true;
+    for atom in atoms {
+        if let BoolExpr::TypeIs(ValExpr::Ref(r), cls, positive) = atom {
+            if r.base == var {
+                if let [Attr::Opr(n)] = r.path.as_slice() {
+                    if let Some(pos) = (*n as usize).checked_sub(1).filter(|&p| p < 3) {
+                        filter.classes.push((pos, *cls, *positive));
+                        continue;
+                    }
+                }
+            }
+        }
+        if !pure_opcode(atom, var) {
+            all_captured = false;
+        }
+    }
+    filter.exact = filter.opcodes.is_some() && all_captured;
+    filter
+}
+
+/// True when `b` is a disjunction of `var.opc == <known name>` leaves and
+/// nothing else, so admission by the extracted opcode set is *equivalent*
+/// to `b` — the condition under which [`AnchorFilter::exact`] may claim a
+/// conjunct without evaluating it.
+fn pure_opcode(b: &BoolExpr, var: &str) -> bool {
+    match b {
+        BoolExpr::Or(l, r) => pure_opcode(l, var) && pure_opcode(r, var),
+        BoolExpr::Cmp(l, CmpOp::Eq, r) => [(l, r), (r, l)].into_iter().any(|(a, b)| {
+            is_opc_ref(a, var) && matches!(b, ValExpr::Name(n) if opcode_key(n).is_some())
+        }),
+        _ => false,
+    }
+}
+
+/// The set of opcodes that could satisfy `b`, or `None` when `b` does
+/// not bound `var`'s opcode.
+fn opcode_set(b: &BoolExpr, var: &str) -> Option<Vec<&'static str>> {
+    match b {
+        BoolExpr::And(l, r) => match (opcode_set(l, var), opcode_set(r, var)) {
+            (Some(a), Some(b)) => Some(a.into_iter().filter(|k| b.contains(k)).collect()),
+            (Some(s), None) | (None, Some(s)) => Some(s),
+            (None, None) => None,
+        },
+        BoolExpr::Or(l, r) => {
+            let mut a = opcode_set(l, var)?;
+            let b = opcode_set(r, var)?;
+            for k in b {
+                if !a.contains(&k) {
+                    a.push(k);
+                }
+            }
+            Some(a)
+        }
+        BoolExpr::Cmp(l, CmpOp::Eq, r) => {
+            for (a, b) in [(l, r), (r, l)] {
+                if is_opc_ref(a, var) {
+                    if let ValExpr::Name(n) = b {
+                        return opcode_key(n).map(|k| vec![k]);
+                    }
+                }
+            }
+            None
+        }
+        _ => None,
+    }
+}
+
+fn flatten_conj<'b>(b: &'b BoolExpr, out: &mut Vec<&'b BoolExpr>) {
+    match b {
+        BoolExpr::And(l, r) => {
+            flatten_conj(l, out);
+            flatten_conj(r, out);
+        }
+        other => out.push(other),
+    }
+}
+
+fn is_opc_ref(v: &ValExpr, var: &str) -> bool {
+    matches!(v, ValExpr::Ref(r) if r.base == var && r.path.as_slice() == [Attr::Opc])
+}
+
+/// Maps a GOSpeL opcode literal to the interned `gospel_name` key the
+/// trie buckets on (all `call` variants share one bucket).
+fn opcode_key(name: &str) -> Option<&'static str> {
+    const KEYS: [&str; 22] = [
+        "assign", "add", "sub", "mul", "div", "mod", "neg", "call", "do", "pardo", "enddo",
+        "if_lt", "if_le", "if_gt", "if_ge", "if_eq", "if_ne", "else", "endif", "read", "write",
+        "nop",
+    ];
+    KEYS.iter()
+        .find(|k| k.eq_ignore_ascii_case(name))
+        .copied()
+}
+
+// ---------------------------------------------------------------------------
+// the trie
+// ---------------------------------------------------------------------------
 
 /// One discriminating test on an edge of the trie: the operand at
 /// `pos` is (`positive`) or is not (`!positive`) of class `cls`.
@@ -160,7 +351,7 @@ pub struct FusedAutomaton {
     /// Mask words per statement slot (`ceil(names.len() / 64)`).
     words: usize,
     /// Per-statement admission masks, `words` words per `StmtId` slot —
-    /// the reverse record `remove` needs, like `StmtIndex`'s entries.
+    /// the reverse record `remove` needs.
     masks: Vec<u64>,
     /// Per-optimizer posting lists (unordered; the searcher restores
     /// program order through `DepGraph::order_of`).
@@ -429,8 +620,8 @@ impl FusedAutomaton {
     }
 
     /// Replays one committed edit batch, leaving the postings exactly as
-    /// [`FusedAutomaton::build`] over the post-edit program would — the
-    /// same O(|delta|) contract as [`crate::StmtIndex::update`].
+    /// [`FusedAutomaton::build`] over the post-edit program would, in
+    /// O(|delta| · trie-depth) work.
     /// Structural batches reclassify the whole program; the trie (a pure
     /// function of the catalog) never changes here.
     pub fn update(&mut self, prog: &Program, delta: &EditDelta) {
@@ -467,7 +658,7 @@ impl FusedAutomaton {
     /// catalog order) — one pass over the postings dispatching the whole
     /// catalog at once. `None` when any posting member's program order
     /// is unknown to `deps` (stale order: the scan path stays
-    /// authoritative, same rung as the per-optimizer index).
+    /// authoritative).
     pub fn dispatch(&self, deps: &DepGraph) -> Option<Vec<(usize, StmtId)>> {
         let mut out: Vec<(usize, usize, StmtId)> = Vec::new();
         for (id, posting) in self.postings.iter().enumerate() {
@@ -503,8 +694,8 @@ impl FusedAutomaton {
 mod tests {
     use super::*;
     use crate::compile::generate;
-    use crate::index::StmtIndex;
-    use gospel_ir::{Opcode, Operand, OperandPos};
+    use gospel_ir::{Opcode, Operand, OperandPos, ProgramBuilder};
+    use gospel_lang::parse_validated;
 
     fn opt_of(name: &str, anchor: &str) -> CompiledOptimizer {
         let spec = format!(
@@ -541,13 +732,12 @@ mod tests {
         assert_eq!(auto.opt_id("nope"), None);
 
         // Posting ≡ per-optimizer AnchorFilter admission, for every opt.
-        let ix = StmtIndex::build(&p);
         for (i, opt) in opts.iter().enumerate() {
             let Some(id) = auto.opt_id(&opt.name) else { continue };
             assert_eq!(id, i);
             let (clause, _) = &opt.patterns[0];
             let filter = anchor_filter(clause, &clause.vars[0]);
-            let mut want = ix.candidates(&filter).unwrap();
+            let mut want: Vec<StmtId> = p.iter().filter(|&s| filter.admits(p.quad(s))).collect();
             let mut got = auto.posting(id).to_vec();
             want.sort_unstable();
             got.sort_unstable();
@@ -688,5 +878,90 @@ mod tests {
         // one classification visit per assign-bucket statement
         assert!(visits > 0);
         assert_eq!(auto.take_stats(), (0, 0), "drained");
+    }
+
+    fn loopy() -> Program {
+        // n = 10 ; do i = 1, n { a(i) = 0 ; do j = 1, 2 { x = i } } ; x = n
+        let mut b = ProgramBuilder::new("loopy");
+        let n = b.scalar_int("n");
+        let i = b.scalar_int("i");
+        let j = b.scalar_int("j");
+        let x = b.scalar_int("x");
+        let a = b.array_int("a", &[10]);
+        b.assign(Operand::Var(n), Operand::int(10));
+        let li = b.do_head(i, Operand::int(1), Operand::Var(n));
+        b.assign(
+            Operand::elem1(a, gospel_ir::AffineExpr::var(i)),
+            Operand::int(0),
+        );
+        let lj = b.do_head(j, Operand::int(1), Operand::int(2));
+        b.assign(Operand::Var(x), Operand::Var(i));
+        b.end_do(lj);
+        b.end_do(li);
+        b.assign(Operand::Var(x), Operand::Var(n));
+        b.finish()
+    }
+
+    fn clause_of(txt: &str) -> PatternClause {
+        let spec = format!(
+            "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
+             any S: {txt};\nACTION\n  delete(S);\nEND"
+        );
+        parse_validated(&spec).unwrap().0.patterns.remove(0)
+    }
+
+    #[test]
+    fn anchor_filter_extraction() {
+        let c = clause_of("S.opc == assign AND type(S.opr_2) == const");
+        let f = anchor_filter(&c, "S");
+        assert_eq!(f.opcodes, Some(vec!["assign"]));
+        assert_eq!(f.classes, vec![(1, OperandClass::Const, true)]);
+        assert!(f.exact, "opcode leaf + class conjunct capture the format");
+        // reversed sides and case-insensitivity
+        let c = clause_of("ASSIGN == S.opc");
+        let f = anchor_filter(&c, "S");
+        assert_eq!(f.opcodes, Some(vec!["assign"]));
+        assert!(f.exact);
+        // a disjunction unions buckets; branch-local conjuncts stay put
+        let c = clause_of(
+            "(S.opc == add OR (S.opc == div AND S.opr_3 != 0)) AND type(S.opr_3) == const",
+        );
+        let f = anchor_filter(&c, "S");
+        assert_eq!(f.opcodes, Some(vec!["add", "div"]));
+        assert_eq!(f.classes, vec![(2, OperandClass::Const, true)]);
+        assert!(
+            !f.exact,
+            "the admission set over-approximates: `S.opr_3 != 0` is not enforced"
+        );
+        // a pure opcode disjunction is exact on its own
+        let f = anchor_filter(&clause_of("S.opc == assign OR S.opc == do"), "S");
+        assert!(f.exact);
+        // a disjunct with no opcode bound unbounds the whole disjunction
+        let c = clause_of("S.opc == assign OR type(S.opr_2) == const");
+        let f = anchor_filter(&c, "S");
+        assert!(f.opcodes.is_none());
+        assert!(!f.exact);
+        // an uncaptured conjunct forfeits exactness but keeps the bound
+        let c = clause_of("S.opc == assign AND S.opr_1 == S.opr_2");
+        let f = anchor_filter(&c, "S");
+        assert_eq!(f.opcodes, Some(vec!["assign"]));
+        assert!(!f.exact);
+        // wrong variable pins nothing
+        let c = clause_of("S.opc == assign");
+        assert!(!anchor_filter(&c, "T").narrows());
+    }
+
+    #[test]
+    fn filtered_candidates_respect_opcode_and_class() {
+        let p = loopy();
+        let admitted = |f: &AnchorFilter| p.iter().filter(|&s| f.admits(p.quad(s))).count();
+        // loopy has four assigns; two of them assign a constant.
+        let f = anchor_filter(&clause_of("S.opc == assign AND type(S.opr_2) == const"), "S");
+        assert_eq!(admitted(&f), 2);
+        let f = anchor_filter(&clause_of("S.opc == assign OR S.opc == do"), "S");
+        assert_eq!(admitted(&f), 6);
+        let f = anchor_filter(&clause_of("S.opr_1 == S.opr_2"), "S");
+        assert!(!f.narrows(), "no opcode bound, nothing to narrow");
+        assert_eq!(admitted(&f), p.len(), "an unbounded filter admits everything");
     }
 }

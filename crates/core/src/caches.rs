@@ -2,29 +2,25 @@
 //!
 //! A [`SessionCaches`] bundles everything a [`crate::Driver`] run can
 //! reuse from the previous run over the same program: the dependence
-//! graph, the statement index, and — per optimizer — the negative match
-//! cache and the per-clause anchor filters. The driver keeps each piece
-//! consistent by replaying every committed [`EditDelta`] into it; any
-//! path that cannot argue consistency (a corrupted commit, a user
-//! restore) clears the whole bundle instead.
+//! graph and the fused anchor automaton. The driver keeps both
+//! consistent by replaying every committed [`gospel_ir::EditDelta`] into
+//! them; any path that cannot argue consistency (a corrupted commit, a
+//! user restore) clears the whole bundle instead.
 //!
-//! The per-optimizer entries are keyed by upper-cased optimizer name, the
-//! same normalization the guard's quarantine map uses. Re-registering a
-//! specification under an existing name must call
-//! [`SessionCaches::drop_optimizer`]: the old spec's remembered
-//! rejections and filters describe the *old* clauses, and letting them
-//! answer for the new spec would silently suppress matches.
+//! The automaton is compiled from the registered catalog, keyed by
+//! upper-cased optimizer name (the same normalization the guard's
+//! quarantine map uses). Re-registering a specification under an
+//! existing name must call [`SessionCaches::drop_optimizer`]: the old
+//! spec's compiled anchor tests describe the *old* clauses, and letting
+//! them answer for the new spec would silently suppress matches.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gospel_dep::DepGraph;
-use gospel_ir::{EditDelta, Program};
-use gospel_lang::ast::ElemType;
+use gospel_ir::Program;
 
 use crate::automaton::FusedAutomaton;
 use crate::compile::CompiledOptimizer;
-use crate::index::{anchor_filter, AnchorFilter, MatchCache, StmtIndex};
 
 /// Reusable driver state for one program, carried across `apply` calls.
 #[derive(Clone, Debug, Default)]
@@ -33,17 +29,12 @@ pub struct SessionCaches {
     /// last run kept it current (same contract as the old per-session
     /// `Option<DepGraph>` cache).
     pub deps: Option<DepGraph>,
-    /// Statement index over the current program, maintained by delta
-    /// replay across applies — including applies of optimizers that
-    /// cannot consult it, so it never silently goes stale.
-    pub index: Option<StmtIndex>,
     /// The fused anchor automaton over the registered catalog, maintained
-    /// by delta replay like the index. Dropped whenever the catalog
-    /// changes under it ([`SessionCaches::drop_optimizer`]) and rebuilt
-    /// by the session before the next fused apply.
+    /// by delta replay across applies — including applies under the scan
+    /// matcher, so it never silently goes stale. Dropped whenever the
+    /// catalog changes under it ([`SessionCaches::drop_optimizer`]) and
+    /// rebuilt by the session before the next fused apply.
     pub automaton: Option<FusedAutomaton>,
-    match_caches: HashMap<String, MatchCache>,
-    anchor_filters: HashMap<String, Arc<Vec<Option<AnchorFilter>>>>,
 }
 
 impl SessionCaches {
@@ -56,22 +47,17 @@ impl SessionCaches {
     /// driver's journaled commits (a user restore, a corrupted commit).
     pub fn clear(&mut self) {
         self.deps = None;
-        self.index = None;
         self.automaton = None;
-        self.match_caches.clear();
-        self.anchor_filters.clear();
     }
 
     /// Drops every entry derived from optimizer `name` (case-insensitive).
     /// Required when a specification is re-registered under an existing
-    /// name — stale negative matches, filters, and fused-automaton states
-    /// compiled from the old spec must not survive into the new one's
-    /// runs. The automaton is catalog-scoped, so covering the name at all
-    /// voids it outright (the session rebuilds it from the new catalog).
+    /// name — fused-automaton states compiled from the old spec must not
+    /// survive into the new one's runs. The automaton is catalog-scoped,
+    /// so covering the name at all voids it outright (the session
+    /// rebuilds it from the new catalog).
     pub fn drop_optimizer(&mut self, name: &str) {
         let key = normalize(name);
-        self.match_caches.remove(&key);
-        self.anchor_filters.remove(&key);
         if self
             .automaton
             .as_ref()
@@ -108,75 +94,11 @@ impl SessionCaches {
         }
     }
 
-    /// Whether a negative match cache is currently parked for `name`.
-    pub fn has_match_cache(&self, name: &str) -> bool {
-        self.match_caches.contains_key(&normalize(name))
-    }
-
-    /// Whether anchor filters are currently cached for `name`.
-    pub fn has_anchor_filters(&self, name: &str) -> bool {
-        self.anchor_filters.contains_key(&normalize(name))
-    }
-
-    /// Takes `opt`'s parked match cache, or builds a fresh one from its
-    /// first pattern clause.
-    pub(crate) fn take_match_cache(&mut self, opt: &CompiledOptimizer) -> MatchCache {
-        self.match_caches
-            .remove(&normalize(&opt.name))
-            .unwrap_or_else(|| MatchCache::new(opt.patterns.first().map(|(c, _)| c)))
-    }
-
-    /// Parks a match cache for reuse by the next run of `name`. Caches
-    /// that can never engage (ineligible first clause) are not worth
-    /// keeping.
-    pub(crate) fn store_match_cache(&mut self, name: &str, cache: MatchCache) {
-        if cache.enabled() {
-            self.match_caches.insert(normalize(name), cache);
-        }
-    }
-
-    /// Replays a committed delta into every *parked* match cache (the
-    /// active optimizer's cache is invalidated separately by the driver).
-    pub(crate) fn invalidate_match_caches(&mut self, delta: &EditDelta) {
-        for c in self.match_caches.values_mut() {
-            c.invalidate(delta);
-        }
-    }
-
-    /// Drops every parked match verdict — the conservative response when
-    /// delta-replay consistency can no longer be argued (e.g. after the
-    /// verifier catches a diverged dependence graph).
-    pub(crate) fn drop_match_verdicts(&mut self) {
-        self.match_caches.clear();
-    }
-
-    /// The per-pattern-clause anchor filters for `opt`, computed once and
-    /// cached under its name. Entry `i` is `None` when clause `i` is not
-    /// an anchor-filterable statement clause (the scan path runs there).
-    pub(crate) fn filters_for(&mut self, opt: &CompiledOptimizer) -> Arc<Vec<Option<AnchorFilter>>> {
-        self.anchor_filters
-            .entry(normalize(&opt.name))
-            .or_insert_with(|| {
-                Arc::new(
-                    opt.patterns
-                        .iter()
-                        .map(|(c, ty)| {
-                            (*ty == ElemType::Stmt)
-                                .then(|| c.vars.first().map(|v| anchor_filter(c, v)))
-                                .flatten()
-                        })
-                        .collect(),
-                )
-            })
-            .clone()
-    }
-
     /// Audits every cached structure against a from-scratch rebuild and
     /// returns one line per inconsistency (empty = consistent). This is
     /// the chaos campaign's "no state divergence vs. a fresh rebuild"
-    /// invariant: the dependence graph and statement index must agree
-    /// with fresh analyses of `prog`, and every parked negative match
-    /// cache must leave the optimizer's found bindings unchanged.
+    /// invariant: the dependence graph and the fused automaton must agree
+    /// with fresh analyses of `prog`.
     pub fn audit(&self, prog: &Program, optimizers: &[CompiledOptimizer]) -> Vec<String> {
         let mut out = Vec::new();
         let fresh = match DepGraph::analyze(prog) {
@@ -189,11 +111,6 @@ impl SessionCaches {
         if let Some(g) = &self.deps {
             if !g.agrees_with(&fresh) {
                 out.push("cached dependence graph disagrees with fresh analysis".into());
-            }
-        }
-        if let Some(ix) = &self.index {
-            if !ix.agrees_with(&StmtIndex::build(prog)) {
-                out.push("cached statement index disagrees with fresh rebuild".into());
             }
         }
         if let Some(a) = &self.automaton {
@@ -212,19 +129,6 @@ impl SessionCaches {
             }
             if known && !a.agrees_with(&FusedAutomaton::build_refs(&catalog, prog)) {
                 out.push("fused automaton disagrees with fresh rebuild".into());
-            }
-        }
-        for (key, cache) in &self.match_caches {
-            let Some(opt) = optimizers.iter().find(|o| o.name.eq_ignore_ascii_case(key)) else {
-                out.push(format!("match cache parked for unregistered optimizer {key}"));
-                continue;
-            };
-            match crate::driver::bindings_agree_with_cache(prog, &fresh, opt, cache) {
-                Ok(true) => {}
-                Ok(false) => out.push(format!(
-                    "negative match cache of {key} changes the found bindings"
-                )),
-                Err(e) => out.push(format!("audit search of {key} failed: {e}")),
             }
         }
         out
@@ -249,29 +153,36 @@ mod tests {
     #[test]
     fn drop_optimizer_is_case_insensitive_and_surgical() {
         let opt = ctp();
+        let prog =
+            gospel_frontend::compile("program p\ninteger x, y\nx = 3\ny = x\nwrite y\nend").unwrap();
         let mut caches = SessionCaches::new();
-        let _ = caches.filters_for(&opt);
-        caches.store_match_cache(&opt.name, MatchCache::new(opt.patterns.first().map(|(c, _)| c)));
-        assert!(caches.has_anchor_filters("ctp"));
-        assert!(caches.has_match_cache("CTP"));
+        caches.ensure_automaton(std::slice::from_ref(&opt), &prog, None);
+        assert!(caches.automaton.is_some());
+        // A name the automaton does not cover leaves it alone.
+        caches.drop_optimizer("DCE");
+        assert!(caches.automaton.is_some(), "an uncovered name must keep the automaton");
+        // A case variant of a covered name voids it.
         caches.drop_optimizer("ctp");
-        assert!(!caches.has_anchor_filters("CTP"));
-        assert!(!caches.has_match_cache("CTP"));
+        assert!(caches.automaton.is_none(), "a covered name must void the automaton");
     }
 
     #[test]
-    fn audit_flags_a_stale_index() {
+    fn audit_flags_a_stale_automaton() {
         let prog =
             gospel_frontend::compile("program p\ninteger x, y\nx = 3\ny = x\nwrite y\nend").unwrap();
         let other =
             gospel_frontend::compile("program q\ninteger a\na = 1\na = 2\nwrite a\nend").unwrap();
+        let opt = ctp();
         let mut caches = SessionCaches::new();
-        // An index built from a different program must be caught.
-        caches.index = Some(StmtIndex::build(&other));
-        let problems = caches.audit(&prog, &[]);
+        // An automaton classified over a different program must be caught.
+        caches.automaton = Some(FusedAutomaton::build(std::slice::from_ref(&opt), &other));
+        let problems = caches.audit(&prog, std::slice::from_ref(&opt));
         assert!(
-            problems.iter().any(|p| p.contains("statement index")),
+            problems.iter().any(|p| p.contains("fused automaton")),
             "{problems:?}"
         );
+        // The same automaton over the right program passes.
+        caches.automaton = Some(FusedAutomaton::build(std::slice::from_ref(&opt), &prog));
+        assert!(caches.audit(&prog, std::slice::from_ref(&opt)).is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! | generator (LEX/YACC analysis → C code) | [`generate`] → [`CompiledOptimizer`] (plus [`emit`] for the Figure-6 C/Rust source) |
 //! | `set_up_X` / `match_X` / `pre_X` / `act_X` | the compiled pattern, dependence and action phases |
 //! | standard driver (Figure 5) | [`Driver`] |
-//! | optimizer library | the pattern matchers, the dependence verifier over [`gospel_dep::DepGraph`], and the action interpreter |
+//! | optimizer library | the pattern matcher (the catalog-wide [`FusedAutomaton`], with the full scan as its oracle), the dependence verifier over [`gospel_dep::DepGraph`], and the action interpreter |
 //! | constructor + interactive interface | [`Session`] |
 //!
 //! The generator also reproduces the paper's §4 engineering results: it
@@ -56,25 +56,22 @@ pub mod emit;
 mod error;
 mod explain;
 pub mod fault;
-pub mod index;
 mod resolve;
 mod rt;
 mod session;
 mod solve;
 
-pub use automaton::{AdmissionVerdict, FusedAutomaton};
+pub use automaton::{anchor_filter, AdmissionVerdict, AnchorFilter, FusedAutomaton};
 pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, BatchSuccess};
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;
 pub use driver::{
-    indexed_search_default, matcher_default, ApplyMode, ApplyReport, DegradeStats, Driver,
-    MatchSet, MatcherKind,
+    matcher_default, ApplyMode, ApplyReport, DegradeStats, Driver, MatchSet, MatcherKind,
 };
 pub use error::{GenerateError, RunError};
 pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport, ENV_CAP};
 pub use fault::{FaultKind, FaultPlan};
-pub use index::{anchor_filter, AnchorFilter, MatchCache, StmtIndex};
 pub use rt::{Bindings, RtVal};
 pub use session::{Session, SessionOptions};
 

@@ -37,10 +37,10 @@ pub struct SessionOptions {
     /// multiple of its statement count at the start of the call.
     pub max_growth: Option<u32>,
     /// Which candidate-enumeration machinery drives searches — the fused
-    /// catalog automaton, the per-optimizer statement index, or full
-    /// scans (see [`MatcherKind`]); bindings are identical in every
-    /// mode. Defaults from [`crate::matcher_default`] (`GENESIS_MATCHER`
-    /// / legacy `GENESIS_INDEXED_SEARCH` environment toggles).
+    /// catalog automaton or full scans (see [`MatcherKind`]); bindings
+    /// are identical in either mode. Defaults from
+    /// [`crate::matcher_default`] (the `GENESIS_MATCHER` environment
+    /// variable).
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
     /// trouble (see [`crate::Driver::degraded_recovery`]). On by default
@@ -92,10 +92,9 @@ pub struct Session {
     options: SessionOptions,
     log: Vec<SessionEvent>,
     fault: Option<FaultPlan>,
-    /// Search state carried across applies — the dependence graph, the
-    /// statement index, and per-optimizer match caches and anchor
-    /// filters. The driver maintains all of it by delta replay; see
-    /// [`SessionCaches`].
+    /// Search state carried across applies — the dependence graph and
+    /// the fused automaton. The driver maintains both by delta replay;
+    /// see [`SessionCaches`].
     caches: SessionCaches,
     /// Structured-event sink handed to every driver this session runs.
     recorder: Option<Arc<Recorder>>,
@@ -125,9 +124,8 @@ impl Session {
 
     /// Registers a generated optimizer; it becomes selectable by name.
     /// Re-registering an existing name replaces the old specification
-    /// *and* drops its cached match verdicts, anchor filters, and
-    /// fused-automaton states — the old spec's remembered rejections and
-    /// compiled anchor tests must not answer for the new one.
+    /// *and* voids the fused automaton compiled from it — the old spec's
+    /// anchor tests must not answer for the new one.
     pub fn register(&mut self, opt: CompiledOptimizer) {
         self.caches.drop_optimizer(&opt.name);
         self.optimizers.retain(|o| o.name != opt.name);
@@ -334,12 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn reregistering_a_name_drops_its_stale_negative_cache() {
-        // Spec A's anchor-local `opr_1 == opr_2` test is cacheable but not
-        // index-expressible, so a failed run parks real negative verdicts.
-        // Spec B under the same name matches exactly the statements A
-        // rejected — if A's parked cache answered for B, the match would
-        // be silently suppressed.
+    fn reregistering_a_name_voids_its_stale_automaton() {
+        // Spec A's anchor admits every assign but its `opr_1 == opr_2`
+        // conjunct rejects them all. Spec B under the same name matches
+        // exactly the statements A rejected — if the automaton compiled
+        // from A answered for B, the match could be silently suppressed.
         let reject_all = "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
                           any S: S.opc == assign AND S.opr_1 == S.opr_2;\nACTION\n  \
                           delete(S);\nEND";
@@ -352,23 +349,23 @@ mod tests {
         let prog =
             gospel_frontend::compile("program p\ninteger x, y\nx = y\nwrite x\nend").unwrap();
         let mut s = Session::new(prog);
-        s.options_mut().matcher = MatcherKind::Indexed;
+        s.options_mut().matcher = MatcherKind::Fused;
         s.register(compile_opt(reject_all));
         let r = s.apply("T", ApplyMode::AllPoints).unwrap();
         assert_eq!(r.applications, 0);
         assert!(
-            s.caches().has_match_cache("T"),
-            "the failed run must park its negative verdicts"
+            s.caches().automaton.is_some(),
+            "the fused run must park the catalog automaton"
         );
         s.register(compile_opt(match_assign));
         assert!(
-            !s.caches().has_match_cache("T"),
-            "re-registration must drop the old spec's cache entries"
+            s.caches().automaton.is_none(),
+            "re-registration must void the automaton compiled from the old spec"
         );
         let r = s.apply("T", ApplyMode::AllPoints).unwrap();
         assert_eq!(
             r.applications, 1,
-            "stale negative matches must not survive re-registration"
+            "the new spec's match must be found after re-registration"
         );
     }
 

@@ -10,7 +10,7 @@
 use crate::compile::{CompiledOptimizer, Strategy};
 use crate::cost::Cost;
 use crate::error::RunError;
-use crate::index::{anchor_filter, AnchorFilter, MatchCache, StmtIndex};
+use crate::automaton::{anchor_filter, AnchorFilter, FusedAutomaton};
 use crate::resolve::{ClauseSlots, Cond, DepAtom, Endpoint, Expr, SetRef, Slot};
 use crate::rt::{Bindings, RtVal};
 use gospel_dep::{DepEdge, DepGraph};
@@ -510,39 +510,22 @@ pub(crate) struct Searcher<'a> {
     /// often an `any` clause found no solution or a `no` clause found one,
     /// failing the candidate binding reached from the pattern section.
     pub dep_rejects: Vec<u64>,
-    /// Statement index over `prog`, when the driver maintains one. Lets
-    /// opcode-constrained pattern clauses start from the matching bucket
-    /// instead of scanning the whole program, and answers the
-    /// members-then-deps size estimate in O(1). Only consulted when the
-    /// candidate bucket can be restored to program order (every member
-    /// has a `deps.order_of`); otherwise the scan path runs unchanged.
-    pub index: Option<&'a StmtIndex>,
     /// The catalog-wide fused automaton and this optimizer's id in it,
     /// when the driver runs the fused matcher and the automaton fuses
     /// this optimizer's anchor. The top rung of the degradation ladder:
     /// anchor candidates come from the optimizer's posting (admission
     /// already classified — zero per-search test evaluation), falling to
-    /// the per-optimizer index and then the scan on stale order.
-    pub fused: Option<(&'a crate::automaton::FusedAutomaton, usize)>,
-    /// Negative anchor cache for this optimizer, when the driver keeps
-    /// one across fixpoint iterations.
-    pub cache: Option<&'a mut MatchCache>,
-    /// Precomputed per-pattern-clause anchor filters (entry `i` belongs
-    /// to clause `i`; `None` = not anchor-filterable). When absent, the
-    /// filter is derived from the clause on every enumeration.
-    pub filters: Option<&'a [Option<AnchorFilter>]>,
-    /// How often the indexed candidate path bowed out because a bucket
+    /// the scan on stale order.
+    pub fused: Option<(&'a FusedAutomaton, usize)>,
+    /// How often the fused candidate path fell back because a posting
     /// member's program order was unknown to the dependence snapshot —
-    /// the first rung of the degradation ladder (indexed → scan). The
+    /// the first rung of the degradation ladder (fused → scan). The
     /// driver surfaces it as `search.degraded.stale_order`.
     pub degraded_stale_order: u64,
-    /// Anchor candidates skipped without a visit because the index bucket
-    /// excluded them (they could never satisfy the clause's opcode
-    /// constraint).
+    /// Anchor candidates skipped without a visit because the fused
+    /// posting excluded them (they could never pass the anchor clause's
+    /// admission tests).
     pub candidates_pruned: u64,
-    /// Anchor candidates skipped because the negative cache remembered a
-    /// first-clause rejection that no later edit invalidated.
-    pub cache_hits: u64,
     /// Anchor candidates dispatched from the fused automaton's posting
     /// (surfaced as `search.fused.dispatched.<OPT>`).
     pub fused_dispatched: u64,
@@ -555,11 +538,11 @@ pub(crate) struct Searcher<'a> {
     /// Nanoseconds spent in the pattern-matching phase, when
     /// `time_pattern` is set. Dependence-clause evaluation is excluded:
     /// the paper's cost model splits precondition checking into the two
-    /// phases, and the statement index targets only this one.
+    /// phases, and the fused automaton targets only this one.
     pub pattern_ns: u64,
     /// Set by the most recent `pattern_candidates` call when the
-    /// candidates came from an index bucket whose [`crate::AnchorFilter`]
-    /// is `exact` — the bucket *is* the format's satisfying set, so
+    /// candidates came from a fused posting whose [`AnchorFilter`] is
+    /// `exact` — the posting *is* the format's satisfying set, so
     /// `rec_pattern` skips format evaluation for those candidates.
     format_known: bool,
     /// How the most recent anchor enumeration relates to the admission
@@ -573,13 +556,13 @@ pub(crate) struct Searcher<'a> {
     /// by construction.
     pub funnel_classified: u64,
     /// Funnel: visited anchor candidates inside the admission set. The
-    /// bucket/posting paths count every visit (membership *is*
-    /// admission); the scan path tests each visit with
-    /// [`AnchorFilter::admits`] — the same predicate — so totals agree
-    /// across all three matchers over identical visited prefixes.
+    /// posting path counts every visit (membership *is* admission); the
+    /// scan path tests each visit with [`AnchorFilter::admits`] — the
+    /// same predicate — so totals agree across both matchers over
+    /// identical visited prefixes.
     pub funnel_admitted: u64,
     /// Funnel: admitted anchors whose clause format held (the exact
-    /// `known_hold` shortcut counts here too — bucket membership already
+    /// `known_hold` shortcut counts here too — posting membership already
     /// proved the format).
     pub funnel_matched: u64,
     /// Funnel: pattern-section bindings that entered the Depend section.
@@ -603,11 +586,11 @@ pub(crate) struct Searcher<'a> {
 
 /// How anchor candidates produced by `pattern_candidates` relate to the
 /// [`AnchorFilter`] admission set — the piece of bookkeeping that lets
-/// all three matchers report the same `admitted` funnel totals.
+/// both matchers report the same `admitted` funnel totals.
 enum AnchorAdmission {
-    /// Candidates came from an index bucket or fused posting: every
-    /// visited candidate is admitted by construction.
-    Bucket,
+    /// Candidates came from a fused posting: every visited candidate is
+    /// admitted by construction.
+    Posting,
     /// Scan candidates with a narrowing filter: each visited statement
     /// is tested with [`AnchorFilter::admits`].
     Filter(AnchorFilter),
@@ -629,13 +612,9 @@ impl<'a> Searcher<'a> {
             ignore_depends: false,
             strategies_used: Vec::new(),
             dep_rejects: vec![0; opt.depends.len()],
-            index: None,
             fused: None,
-            cache: None,
-            filters: None,
             degraded_stale_order: 0,
             candidates_pruned: 0,
-            cache_hits: 0,
             fused_dispatched: 0,
             time_pattern: false,
             pattern_ns: 0,
@@ -756,7 +735,7 @@ impl<'a> Searcher<'a> {
         if known_hold || opt.pattern_slots[idx].format.is_none() {
             self.note_pattern(t.take());
         }
-        let r = self.visit_candidates(idx, ty, known_hold, &admission, cands, &mut t, out, limit);
+        let r = self.visit_candidates(idx, known_hold, &admission, cands, &mut t, out, limit);
         self.note_pattern(t);
         r
     }
@@ -767,7 +746,6 @@ impl<'a> Searcher<'a> {
     fn visit_candidates(
         &mut self,
         idx: usize,
-        ty: ElemType,
         known_hold: bool,
         admission: &AnchorAdmission,
         cands: &[Cand],
@@ -779,30 +757,7 @@ impl<'a> Searcher<'a> {
         let vars = &opt.pattern_slots[idx].vars;
         match opt.patterns[idx].0.quant {
             Quant::Any => {
-                // The negative cache only ever covers the anchor clause:
-                // its verdict there is anchor-local by construction
-                // (`MatchCache::clause_eligible`), so a remembered
-                // rejection stays valid until an edit touches the
-                // statement itself.
-                let caching = idx == 0
-                    && ty == ElemType::Stmt
-                    && self.cache.as_ref().is_some_and(|c| c.enabled());
                 for cand in cands.iter() {
-                    if caching {
-                        if let Elem::Stmt(s) = cand.0 {
-                            if self.cache.as_ref().is_some_and(|c| c.is_rejected(s)) {
-                                self.cache_hits += 1;
-                                // A remembered rejection still passed
-                                // admission when it was first visited;
-                                // count it so cached and cold fixpoint
-                                // iterations report the same funnel.
-                                if self.anchor_admitted(admission, cand) {
-                                    self.funnel_admitted += 1;
-                                }
-                                continue;
-                            }
-                        }
-                    }
                     let admitted = idx == 0 && self.anchor_admitted(admission, cand);
                     if idx == 0 {
                         self.cost.anchor_visits += 1;
@@ -834,11 +789,6 @@ impl<'a> Searcher<'a> {
                     let holds = agree && (known_hold || self.format_holds(idx)?);
                     if admitted && holds {
                         self.funnel_matched += 1;
-                    }
-                    if agree && !holds && caching {
-                        if let (Elem::Stmt(s), Some(c)) = (cand.0, self.cache.as_mut()) {
-                            c.mark_rejected(s);
-                        }
                     }
                     let done = holds && {
                         let running = t.take();
@@ -906,64 +856,19 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// The candidate bucket for one opcode-constrained statement clause,
-    /// in program order, or `None` when the scan path must run: no
-    /// index, a format with no opcode bound, or a bucket member whose
-    /// program position is unknown to the dependence snapshot (stale
-    /// order — the scan stays authoritative).
-    ///
-    /// Restricting candidates to the [`crate::AnchorFilter`]'s admission
-    /// set is sound for both `any` and `no` quantifiers: a statement
-    /// outside it provably fails the clause's opcode disjunction or one
-    /// of its top-level `type(var.opr_N)` conjuncts, so its format can
-    /// never hold.
-    /// The second component reports [`crate::AnchorFilter::exact`]: the
-    /// admission set *equals* the format's satisfying set, so the caller
-    /// may treat every returned candidate as already format-checked.
-    fn indexed_stmt_candidates(
-        &mut self,
-        idx: usize,
-        clause: &PatternClause,
-    ) -> Option<(Vec<StmtId>, bool)> {
-        let ix = self.index?;
-        // Prefer the driver's precomputed per-clause filter; derive one
-        // from the clause only when none was provided.
-        let derived;
-        let filter: &AnchorFilter = match self.filters {
-            Some(fs) => fs.get(idx)?.as_ref()?,
-            None => {
-                let var = clause.vars.first()?;
-                derived = anchor_filter(clause, var);
-                &derived
-            }
-        };
-        let bucket = ix.candidates(filter)?;
-        let exact = filter.exact;
-        let mut ordered = Vec::with_capacity(bucket.len());
-        for s in bucket {
-            match self.deps.order_of(s) {
-                Some(o) => ordered.push((o, s)),
-                None => {
-                    // First ladder rung: the dependence snapshot cannot
-                    // order this bucket member (stale order), so the scan
-                    // path stays authoritative for this enumeration.
-                    self.degraded_stale_order += 1;
-                    return None;
-                }
-            }
-        }
-        ordered.sort_unstable();
-        Some((ordered.into_iter().map(|(_, s)| s).collect(), exact))
-    }
-
     /// This optimizer's anchor posting from the fused automaton, in
-    /// program order, or `None` when the next ladder rung must run: no
-    /// automaton, the optimizer is not fused, or a posting member whose
-    /// program position is unknown to the dependence snapshot (stale
-    /// order). Admission soundness is the same [`crate::AnchorFilter`]
-    /// argument as [`Searcher::indexed_stmt_candidates`] — the automaton
-    /// compiles the very same filters into its trie, and the `exact`
-    /// flag carries over identically.
+    /// program order, or `None` when the scan must run: no automaton, the
+    /// optimizer is not fused, or a posting member whose program position
+    /// is unknown to the dependence snapshot (stale order).
+    ///
+    /// Restricting anchors to the posting is sound for both `any` and
+    /// `no` quantifiers: a statement outside it provably fails the
+    /// clause's opcode disjunction or one of its top-level
+    /// `type(var.opr_N)` conjuncts (see [`AnchorFilter`]), so its format
+    /// can never hold. The second component reports
+    /// [`AnchorFilter::exact`]: the posting *equals* the format's
+    /// satisfying set, so the caller may treat every returned candidate
+    /// as already format-checked.
     fn fused_stmt_candidates(&mut self) -> Option<(Vec<StmtId>, bool)> {
         let (auto, id) = self.fused?;
         let exact = auto.exact(id);
@@ -997,16 +902,10 @@ impl<'a> Searcher<'a> {
         // may mutate the searcher (stale-order accounting), while the
         // closure holds a shared borrow for the rest of the function.
         // Ladder order: fused posting (anchor clause only — the automaton
-        // compiles anchor filters), then index bucket, then scan.
+        // compiles anchor filters), then scan.
         let fused = (first && ty == ElemType::Stmt)
             .then(|| self.fused_stmt_candidates())
             .flatten();
-        let from_fused = fused.is_some();
-        let indexed = fused.or_else(|| {
-            (ty == ElemType::Stmt)
-                .then(|| self.indexed_stmt_candidates(idx, clause))
-                .flatten()
-        });
         let loops = self.loops();
         if first {
             // Funnel accounting, fixed before `anchor_ok` borrows the
@@ -1023,14 +922,10 @@ impl<'a> Searcher<'a> {
             };
             self.anchor_admission = if ty != ElemType::Stmt {
                 AnchorAdmission::All
-            } else if indexed.is_some() {
-                AnchorAdmission::Bucket
+            } else if fused.is_some() {
+                AnchorAdmission::Posting
             } else {
-                let filter = match self.filters {
-                    Some(fs) => fs.get(idx).and_then(|f| f.clone()),
-                    None => clause.vars.first().map(|v| anchor_filter(clause, v)),
-                };
-                match filter {
+                match clause.vars.first().map(|v| anchor_filter(clause, v)) {
                     Some(f) if f.narrows() => AnchorAdmission::Filter(f),
                     _ => AnchorAdmission::All,
                 }
@@ -1064,16 +959,17 @@ impl<'a> Searcher<'a> {
         let pair = |(a, b): (LoopId, LoopId)| (Elem::Loop(a), Some(Elem::Loop(b)));
         match ty {
             ElemType::Stmt => {
-                let mut pruned = 0u64;
-                if let Some((bucket, exact)) = indexed {
-                    pruned = (self.prog.len().saturating_sub(bucket.len())) as u64;
+                if let Some((posting, exact)) = fused {
+                    self.candidates_pruned +=
+                        (self.prog.len().saturating_sub(posting.len())) as u64;
                     self.format_known = exact;
                     out.extend(
-                        bucket
+                        posting
                             .into_iter()
                             .filter(|&s| anchor_ok(s))
                             .map(|s| (Elem::Stmt(s), None)),
                     );
+                    self.fused_dispatched += out.len() as u64;
                 } else {
                     out.extend(
                         self.prog
@@ -1081,10 +977,6 @@ impl<'a> Searcher<'a> {
                             .filter(|&s| anchor_ok(s))
                             .map(|s| (Elem::Stmt(s), None)),
                     );
-                }
-                self.candidates_pruned += pruned;
-                if from_fused {
-                    self.fused_dispatched += out.len() as u64;
                 }
             }
             ElemType::Loop => out.extend(
@@ -1252,25 +1144,13 @@ impl<'a> Searcher<'a> {
     }
 
     /// Size of the candidate set `member_generator` would produce for
-    /// `var`, without materializing it when it can be counted: a
-    /// loop-body membership constraint reads `StmtIndex::body_size` in
-    /// O(1), which is by construction the exact count
-    /// `LoopTable::body(..).count()` reports. The value — and therefore
-    /// the strategy the heuristic picks — is identical either way; only
-    /// the estimation cost changes. Other sets are listed into the
-    /// reused statement buffer and counted.
+    /// `var`: the set is listed into the reused statement buffer and
+    /// counted.
     fn member_set_size(&mut self, cc: &ClauseSlots, var: Slot) -> Option<usize> {
         let m = cc
             .members
             .iter()
             .find(|m| !m.negated && m.elem == Expr::Var(var))?;
-        if let (Some(ix), SetRef::Named(s)) = (self.index, &m.set) {
-            if let Some(RtVal::Loop(l)) = self.env.slot(*s) {
-                if let Some(sz) = ix.body_size(self.loops().get(*l).head) {
-                    return Some(sz);
-                }
-            }
-        }
         let mut stmts = std::mem::take(&mut self.stmts);
         stmts.clear();
         let len = self.set_elements(&m.set, &mut stmts).ok().map(|()| stmts.len());
@@ -2141,7 +2021,7 @@ END
     }
 
     #[test]
-    fn indexed_candidates_agree_with_scan_and_prune() {
+    fn fused_candidates_agree_with_scan_and_prune() {
         let spec = r#"
 OPTIMIZATION T
 TYPE Stmt: S;
@@ -2154,7 +2034,8 @@ END
 "#;
         let opt = opt_of(spec);
         let (p, d) = world(LOOPY);
-        let ix = StmtIndex::build(&p);
+        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
+        let id = auto.opt_id(&opt.name).expect("an opcode-pinned anchor is fused");
 
         let stmts_of = |found: &[Bindings]| -> Vec<StmtId> {
             found
@@ -2168,56 +2049,15 @@ END
         assert_eq!(scan.candidates_pruned, 0);
 
         let mut fast = Searcher::new(&p, &d, &opt);
-        fast.index = Some(&ix);
+        fast.fused = Some((&auto, id));
         let fast_found = fast.find_all(usize::MAX).unwrap();
 
-        // Identical bindings in identical order; the index merely skipped
+        // Identical bindings in identical order; the posting merely skipped
         // the statements that could never carry the pinned opcode.
         assert_eq!(stmts_of(&scan_found), stmts_of(&fast_found));
-        let assigns = ix.by_opcode("assign").len() as u64;
+        let assigns = p.iter().filter(|&s| p.quad(s).op == Opcode::Assign).count() as u64;
         assert_eq!(fast.cost.anchor_visits, assigns);
         assert_eq!(fast.candidates_pruned, p.len() as u64 - assigns);
         assert!(fast.candidates_pruned > 0);
-    }
-
-    #[test]
-    fn negative_cache_skips_remembered_rejections() {
-        let spec = r#"
-OPTIMIZATION T
-TYPE Stmt: S;
-PRECOND
-  Code_Pattern
-    any S: S.opc == assign AND type(S.opr_2) == const;
-ACTION
-  delete(S);
-END
-"#;
-        let opt = opt_of(spec);
-        let (p, d) = world("program p\ninteger a, b, x\nx = 2\na = x\nb = 3\nend");
-        let mut cache = MatchCache::new(Some(&opt.patterns[0].0));
-        assert!(cache.enabled());
-
-        let stmts_of = |found: &[Bindings]| -> Vec<StmtId> {
-            found
-                .iter()
-                .map(|b| b.get("S").unwrap().as_stmt().unwrap())
-                .collect()
-        };
-
-        let mut s = Searcher::new(&p, &d, &opt);
-        s.cache = Some(&mut cache);
-        let first_pass = s.find_all(usize::MAX).unwrap();
-        assert_eq!(s.cache_hits, 0, "an empty cache skips nothing");
-        let cold_visits = s.cost.anchor_visits;
-
-        // Same program, same cache: every statement the first pass
-        // rejected is now skipped without a visit, and the solutions are
-        // unchanged.
-        let mut s = Searcher::new(&p, &d, &opt);
-        s.cache = Some(&mut cache);
-        let second_pass = s.find_all(usize::MAX).unwrap();
-        assert_eq!(stmts_of(&first_pass), stmts_of(&second_pass));
-        assert!(s.cache_hits > 0);
-        assert_eq!(s.cost.anchor_visits + s.cache_hits, cold_visits);
     }
 }

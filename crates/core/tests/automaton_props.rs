@@ -1,23 +1,20 @@
 //! Property test for the fused anchor automaton: over random structured
-//! programs and random journaled primitive-edit batches, three ways of
+//! programs and random journaled primitive-edit batches, two ways of
 //! answering "which statements does this optimizer's anchor admit?" must
 //! stay in exact agreement —
 //!
 //! 1. the fused automaton's posting for the optimizer (built once, then
-//!    maintained by [`FusedAutomaton::update`] delta replay),
-//! 2. the per-optimizer [`AnchorFilter`] admission through
-//!    [`StmtIndex::candidates`], and
-//! 3. a direct scan evaluating the filter's opcode and operand-class
-//!    tests against every live statement.
+//!    maintained by [`FusedAutomaton::update`] delta replay), and
+//! 2. a direct scan evaluating the optimizer's [`AnchorFilter`] opcode and
+//!    operand-class tests against every live statement.
 //!
 //! The undo round-trip must also hold: replaying a journal backwards and
 //! reclassifying restores the automaton to its original postings.
 //!
-//! Same generator shape as `index_props.rs`: the vendored proptest shim's
-//! deterministic RNG drives an imperative program grower, so every
-//! failure reproduces from its seed case.
+//! The vendored proptest shim's deterministic RNG drives an imperative
+//! program grower, so every failure reproduces from its seed case.
 
-use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton, StmtIndex};
+use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton};
 use gospel_ir::{
     AffineExpr, EditDelta, Opcode, Operand, OperandPos, Program, ProgramBuilder, Quad, StmtId, Sym,
 };
@@ -265,11 +262,10 @@ fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
     d
 }
 
-/// Asserts the three-way admission agreement for every catalog entry
+/// Asserts the posting/scan admission agreement for every catalog entry
 /// against the current program.
 fn assert_admission_agrees(
     auto: &FusedAutomaton,
-    ix: &StmtIndex,
     opts: &[CompiledOptimizer],
     fs: &[Option<AnchorFilter>],
     prog: &Program,
@@ -288,15 +284,11 @@ fn assert_admission_agrees(
             panic!("{context}: {} has a narrowing anchor but no fused entry", opt.name)
         });
         let fused = sorted(auto.posting(id).to_vec());
-        let indexed = sorted(
-            ix.candidates(f)
-                .unwrap_or_else(|| panic!("{context}: {} filter lost its opcodes", opt.name)),
-        );
         let scanned = sorted(scan_admitted(prog, f));
         prop_assert!(
-            fused == scanned && indexed == scanned,
-            "{context}: admission disagrees for {}\n  fused:   {fused:?}\n  indexed: \
-             {indexed:?}\n  scanned: {scanned:?}\nprogram:\n{}",
+            fused == scanned,
+            "{context}: admission disagrees for {}\n  fused:   {fused:?}\n  \
+             scanned: {scanned:?}\nprogram:\n{}",
             opt.name,
             gospel_ir::DisplayProgram(prog)
         );
@@ -316,13 +308,11 @@ proptest! {
         gospel_ir::validate(&prog).expect("generator produced an invalid program");
 
         let mut auto = FusedAutomaton::build(&opts, &prog);
-        let mut ix = StmtIndex::build(&prog);
-        assert_admission_agrees(&auto, &ix, &opts, &fs, &prog, &format!("seed {seed} initial"))?;
+        assert_admission_agrees(&auto, &opts, &fs, &prog, &format!("seed {seed} initial"))?;
 
         for batch in 0..1 + rng.below(3) {
             let delta = gen_batch(&mut rng, &mut prog, &vars);
             auto.update(&prog, &delta);
-            ix.update(&prog, &delta);
             let ctx = format!(
                 "seed {seed} batch {batch} ({} ops, structural: {})",
                 delta.len(),
@@ -333,7 +323,7 @@ proptest! {
                 "{ctx}: incrementally maintained automaton diverged from a rebuild\nprogram:\n{}",
                 gospel_ir::DisplayProgram(&prog)
             );
-            assert_admission_agrees(&auto, &ix, &opts, &fs, &prog, &ctx)?;
+            assert_admission_agrees(&auto, &opts, &fs, &prog, &ctx)?;
         }
     }
 

@@ -85,9 +85,10 @@ pub struct GuardConfig {
     /// optimizers. A second quarantining offense is permanent. `None`
     /// disables parole (quarantine is final, the pre-parole behaviour).
     pub parole_after: Option<usize>,
-    /// Let the driver degrade (indexed search → scan → full re-analysis)
-    /// on internal cache/index inconsistencies instead of hard-aborting
-    /// the apply. See [`genesis::SessionOptions::degraded_recovery`].
+    /// Let the driver degrade (fused automaton → scan → full
+    /// re-analysis) on internal cache inconsistencies instead of
+    /// hard-aborting the apply. See
+    /// [`genesis::SessionOptions::degraded_recovery`].
     pub degraded_recovery: bool,
 }
 
