@@ -14,8 +14,9 @@ use gospel_dep::{DepGraph, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
 use gospel_trace::{Name, Recorder, Span, Value};
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Which candidate-enumeration machinery drives the search.
@@ -420,7 +421,7 @@ impl<'o> Driver<'o> {
                     Some(r),
                     "driver.attempt",
                     [
-                        ("optimizer", Value::Str(TraceNames::of(self.opt).opt.clone())),
+                        ("optimizer", Value::str(TraceNames::of(self.opt).opt)),
                         ("application", Value::us(report.applications)),
                     ],
                 ),
@@ -503,7 +504,7 @@ impl<'o> Driver<'o> {
                     fields.extend([
                         (
                             "optimizer",
-                            Value::Str(TraceNames::of(self.opt).opt.clone()),
+                            Value::str(TraceNames::of(self.opt).opt),
                         ),
                         ("outcome", Value::str("found")),
                         ("resumed", Value::b(resume_pt.is_some())),
@@ -716,15 +717,18 @@ impl<'o> Driver<'o> {
                                         UpdateKind::Structural => "structural",
                                         UpdateKind::Noop => "noop",
                                     };
-                                    let frontier = up.frontier.map(|f| f.to_string());
-                                    let mut fields = vec![
+                                    // Sized for every field up front; the
+                                    // frontier is its statement index, so
+                                    // nothing is formatted.
+                                    let mut fields = Vec::with_capacity(5);
+                                    fields.extend([
                                         ("kind", Value::str(kind)),
                                         ("dirty_syms", Value::us(up.stats.dirty_syms)),
                                         ("edges_dropped", Value::us(up.stats.edges_dropped)),
                                         ("edges_added", Value::us(up.stats.edges_added)),
-                                    ];
-                                    if let Some(fr) = frontier {
-                                        fields.push(("frontier", Value::str(fr)));
+                                    ]);
+                                    if let Some(f) = up.frontier {
+                                        fields.push(("frontier", Value::us(f.index())));
                                     }
                                     r.event("dep.update", fields);
                                 }
@@ -795,27 +799,12 @@ impl<'o> Driver<'o> {
                                 totals.fused_visits += visits;
                             }
                         } else {
-                            if std::env::var("GENESIS_DEBUG_DEPS").is_ok() {
-                                eprintln!("delta: {delta:?}");
-                                eprintln!("program:\n{}", gospel_ir::DisplayProgram(prog));
-                                for s in prog.iter() {
-                                    eprintln!("  {s}: {:?}", prog.quad(s));
-                                }
-                                for e in deps.edges() {
-                                    if !fresh.edges().contains(e) {
-                                        eprintln!("incr-only: {e:?}");
-                                    }
-                                }
-                                for e in fresh.edges() {
-                                    if !deps.edges().contains(e) {
-                                        eprintln!("fresh-only: {e:?}");
-                                    }
-                                }
-                            }
                             return Err(RunError::Analyze(format!(
                                 "incremental dependence graph diverged from full \
-                                 analysis after application {} of {}",
-                                report.applications, self.opt.name
+                                 analysis after application {} of {}: {}",
+                                report.applications,
+                                self.opt.name,
+                                first_divergence(&deps, &fresh, prog)
                             )));
                         }
                     }
@@ -867,6 +856,30 @@ fn analyze(prog: &Program) -> Result<DepGraph, RunError> {
     DepGraph::analyze(prog).map_err(|e| RunError::Analyze(e.to_string()))
 }
 
+/// Names where an incrementally maintained graph first departs from a
+/// fresh analysis: the first edge (in canonical order) on which the two
+/// edge lists differ, or the loop tables when the edges agree.
+fn first_divergence(incremental: &DepGraph, full: &DepGraph, prog: &Program) -> String {
+    let (inc, fresh) = (incremental.edges(), full.edges());
+    let at = inc
+        .iter()
+        .zip(fresh)
+        .position(|(a, b)| a != b)
+        .unwrap_or(inc.len().min(fresh.len()));
+    let show = |e: Option<&gospel_dep::DepEdge>| {
+        e.map_or_else(|| "none".to_string(), |e| e.line(prog.syms()))
+    };
+    if at == inc.len() && at == fresh.len() {
+        "the edges agree; the loop tables differ".to_string()
+    } else {
+        format!(
+            "first differing edge #{at}: incremental [{}], full [{}]",
+            show(inc.get(at)),
+            show(fresh.get(at))
+        )
+    }
+}
+
 fn ns_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -906,22 +919,24 @@ const FUNNEL_PHASES: [&str; 6] = [
 /// The optimizer-specific strings a traced run records: its name and
 /// its counter names. Rendering them was most of a run-end flush's
 /// cost, so each [`CompiledOptimizer`] renders them once and every later
-/// run shares them.
+/// run shares them. They are interned as literals ([`intern`]): a
+/// literal name is recorded by copying it, where a reference-counted
+/// one would cost an atomic increment per event.
 #[derive(Clone, Debug)]
 pub(crate) struct TraceNames {
-    opt: Name,
-    funnel: [Name; 6],
-    fused_dispatched: Name,
-    dep_reject: Vec<Name>,
+    opt: &'static str,
+    funnel: [&'static str; 6],
+    fused_dispatched: &'static str,
+    dep_reject: Vec<&'static str>,
 }
 
 impl TraceNames {
     fn new(opt: &CompiledOptimizer) -> TraceNames {
         let name = &opt.name;
         TraceNames {
-            opt: Name::Shared(name.as_str().into()),
-            funnel: FUNNEL_PHASES.map(|phase| shared(format!("funnel.{name}.{phase}"))),
-            fused_dispatched: shared(format!("search.fused.dispatched.{name}")),
+            opt: intern(name.clone()),
+            funnel: FUNNEL_PHASES.map(|phase| intern(format!("funnel.{name}.{phase}"))),
+            fused_dispatched: intern(format!("search.fused.dispatched.{name}")),
             dep_reject: (0..opt.depends.len())
                 .map(|i| dep_reject_name(name, i))
                 .collect(),
@@ -932,27 +947,40 @@ impl TraceNames {
     /// after it was rendered.
     fn of(opt: &CompiledOptimizer) -> Cow<'_, TraceNames> {
         let names = opt.trace_names.get_or_init(|| TraceNames::new(opt));
-        if names.opt.as_str() == opt.name {
+        if names.opt == opt.name {
             Cow::Borrowed(names)
         } else {
             Cow::Owned(TraceNames::new(opt))
         }
     }
 
-    fn dep_reject(&self, clause: usize) -> Name {
+    fn dep_reject(&self, clause: usize) -> &'static str {
         match self.dep_reject.get(clause) {
-            Some(n) => n.clone(),
-            None => dep_reject_name(&self.opt, clause),
+            Some(n) => n,
+            None => dep_reject_name(self.opt, clause),
         }
     }
 }
 
-fn dep_reject_name(opt: &str, clause: usize) -> Name {
-    shared(format!("search.dep_reject.{opt}.clause{clause}"))
+fn dep_reject_name(opt: &str, clause: usize) -> &'static str {
+    intern(format!("search.dep_reject.{opt}.clause{clause}"))
 }
 
-fn shared(s: String) -> Name {
-    Name::Shared(s.into())
+/// The process-wide copy of `s`, leaked on first use. Each distinct
+/// trace name is allocated once, so the leak is bounded by the distinct
+/// optimizer names a process traces.
+fn intern(s: String) -> &'static str {
+    static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    let mut names = NAMES
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|p| p.into_inner());
+    if let Some(&name) = names.get(s.as_str()) {
+        return name;
+    }
+    let name: &'static str = Box::leak(s.into_boxed_str());
+    names.insert(name);
+    name
 }
 
 /// Counters accumulated locally across one `apply` run and flushed to
@@ -1033,31 +1061,12 @@ impl Drop for RunTotals<'_> {
     fn drop(&mut self) {
         let Some(rec) = self.rec.take() else { return };
         let names = TraceNames::of(self.opt);
-        if self.funnel_classified > 0 {
-            // One structured funnel event per run: the whole
-            // classified → admitted → matched → dep-checked →
-            // applied/rolled-back pipeline in a single record, so the
-            // report engine and the explain narrative need no counter
-            // joins. The per-phase counters below carry the same totals
-            // for metric consumers.
-            rec.event(
-                "search.funnel",
-                [
-                    ("optimizer", Value::Str(names.opt.clone())),
-                    ("classified", Value::u(self.funnel_classified)),
-                    ("admitted", Value::u(self.funnel_admitted)),
-                    ("matched", Value::u(self.funnel_matched)),
-                    ("dep_checked", Value::u(self.funnel_dep_checked)),
-                    ("applied", Value::u(self.applications)),
-                    ("rolled_back", Value::u(self.action_rollbacks)),
-                ],
-            );
-        }
-        // Streamed into the recorder under one lock, in a fixed order;
-        // zero counts are skipped. The pairs are gathered into one buffer
-        // first, which the recorder copies into its events with a single
-        // `extend` (measurably cheaper than pulling them through a chain
-        // of filtering iterators under the lock).
+        // Streamed into the recorder under one lock, in a fixed order,
+        // after the funnel event; zero counts are skipped. The pairs are
+        // gathered into one buffer first, which the recorder copies into
+        // its events with a single `extend` (measurably cheaper than
+        // pulling them through a chain of filtering iterators under the
+        // lock).
         let fixed = [
             ("driver.attempts", self.attempts),
             ("driver.applications", self.applications),
@@ -1095,9 +1104,9 @@ impl Drop for RunTotals<'_> {
                 self.applications,
                 self.action_rollbacks,
             ];
-            for (name, n) in names.funnel.iter().zip(funnel_counts) {
+            for (name, n) in names.funnel.into_iter().zip(funnel_counts) {
                 if n > 0 {
-                    items.push((name.clone(), n));
+                    items.push((Name::Static(name), n));
                 }
             }
         }
@@ -1107,14 +1116,33 @@ impl Drop for RunTotals<'_> {
             }
         }
         if self.fused_dispatched > 0 {
-            items.push((names.fused_dispatched.clone(), self.fused_dispatched));
+            items.push((Name::Static(names.fused_dispatched), self.fused_dispatched));
         }
         for (i, &n) in self.rejects.iter().enumerate() {
             if n > 0 {
-                items.push((names.dep_reject(i), n));
+                items.push((Name::Static(names.dep_reject(i)), n));
             }
         }
-        rec.add_many(items);
+        if self.funnel_classified > 0 {
+            // One structured funnel event per run: the whole
+            // classified → admitted → matched → dep-checked →
+            // applied/rolled-back pipeline in a single record, so the
+            // report engine and the explain narrative need no counter
+            // joins. The per-phase counters carry the same totals for
+            // metric consumers.
+            let funnel = [
+                ("optimizer", Value::str(names.opt)),
+                ("classified", Value::u(self.funnel_classified)),
+                ("admitted", Value::u(self.funnel_admitted)),
+                ("matched", Value::u(self.funnel_matched)),
+                ("dep_checked", Value::u(self.funnel_dep_checked)),
+                ("applied", Value::u(self.applications)),
+                ("rolled_back", Value::u(self.action_rollbacks)),
+            ];
+            rec.event_and_add_many("search.funnel", funnel, items);
+        } else {
+            rec.add_many(items);
+        }
     }
 }
 
@@ -1208,6 +1236,26 @@ mod tests {
         assert_eq!(prog.quad(b_stmt).a, Operand::int(5));
         let y_stmt = prog.iter().nth(2).unwrap();
         assert_ne!(prog.quad(y_stmt).a, Operand::int(3));
+    }
+
+    #[test]
+    fn divergence_error_names_the_first_differing_edge() {
+        // A skipped refresh with the verifier on and no degradation
+        // ladder: the run stops, and the error says where the stale graph
+        // departs from a fresh analysis.
+        let mut prog =
+            minifor("program p\ninteger x, y, z\nx = 3\ny = x\nz = y\nwrite z\nend").unwrap();
+        let opt = ctp();
+        let mut d = Driver::new(&opt);
+        d.verify_deps = true;
+        d.degraded_recovery = false;
+        d.fault = Some(FaultPlan::new(FaultKind::CorruptDeps));
+        let err = d
+            .apply(&mut prog, ApplyMode::AllPoints)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("first differing edge #"), "{err}");
+        assert!(err.contains("flow_dep"), "{err}");
     }
 
     #[test]

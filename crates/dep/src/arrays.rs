@@ -49,6 +49,27 @@ pub(crate) fn array_deps_filtered(
     order: &[u32],
     only: Option<&SymSet>,
 ) -> Vec<DepEdge> {
+    array_deps_scoped(prog, loops, order, only, |_, _| true, |_, _| true)
+}
+
+/// A reference's site: its statement and operand slot — the endpoint an
+/// edge derived from the reference carries.
+pub(crate) type Site = (StmtId, OperandPos);
+
+/// [`array_deps_filtered`] restricted further to the reference pairs
+/// `pair` accepts (ordinary subscript tests) and `preview` accepts
+/// (fusion-preview tests, first-loop reference first). Each edge is a
+/// function of its own pair alone, so the edges produced are exactly the
+/// unrestricted analysis's edges derived from the accepted pairs. Both
+/// predicates must be symmetric in their arguments.
+pub(crate) fn array_deps_scoped(
+    prog: &Program,
+    loops: &LoopTable,
+    order: &[u32],
+    only: Option<&SymSet>,
+    pair: impl Fn(Site, Site) -> bool,
+    preview: impl Fn(Site, Site) -> bool,
+) -> Vec<DepEdge> {
     let refs = collect_refs(prog, |a| only.is_none_or(|arrays| arrays.contains(a)));
     let mut edges = Vec::new();
     if refs.is_empty() {
@@ -67,7 +88,7 @@ pub(crate) fn array_deps_filtered(
     for group in by_array.chunk_by(|a, b| a.array == b.array) {
         for (ii, &a) in group.iter().enumerate() {
             for &b in &group[ii..] {
-                if !a.is_write && !b.is_write {
+                if (!a.is_write && !b.is_write) || !pair(a.site(), b.site()) {
                     continue;
                 }
                 // Orient the pair so `a` is textually first. A single
@@ -81,7 +102,9 @@ pub(crate) fn array_deps_filtered(
             }
         }
     }
-    fusion_preview_deps(prog, loops, &all_lcvs, &mut nest, &refs, &mut edges);
+    fusion_preview_deps(
+        prog, loops, &all_lcvs, &mut nest, &refs, &preview, &mut edges,
+    );
     edges
 }
 
@@ -100,6 +123,7 @@ fn fusion_preview_deps(
     all_lcvs: &[Sym],
     nest: &mut Nest,
     refs: &[ArrayRef<'_>],
+    keep: impl Fn(Site, Site) -> bool,
     edges: &mut Vec<DepEdge>,
 ) {
     for (l1, l2) in loops.adjacent_pairs(prog) {
@@ -116,7 +140,7 @@ fn fusion_preview_deps(
 
         for a in refs.iter().filter(|r| loops.contains(l1, r.stmt)) {
             for b in refs.iter().filter(|r| loops.contains(l2, r.stmt)) {
-                if a.array != b.array || (!a.is_write && !b.is_write) {
+                if a.array != b.array || (!a.is_write && !b.is_write) || !keep(a.site(), b.site()) {
                     continue;
                 }
                 // Align the second loop's control variable with the first's.
@@ -152,6 +176,12 @@ fn fusion_preview_deps(
                 });
             }
         }
+    }
+}
+
+impl ArrayRef<'_> {
+    fn site(&self) -> Site {
+        (self.stmt, self.pos)
     }
 }
 

@@ -7,7 +7,7 @@
 //! test), which the hand-coded DCE and ICM baselines rely on.
 
 use crate::edge::{DepEdge, DepKind, Direction};
-use gospel_ir::{Opcode, OperandPos, Program};
+use gospel_ir::{Opcode, OperandPos, Program, Quad, Sym};
 
 /// Computes all control dependence edges.
 pub(crate) fn control_deps(prog: &Program) -> Vec<DepEdge> {
@@ -37,24 +37,27 @@ pub(crate) fn control_deps(prog: &Program) -> Vec<DepEdge> {
             });
         }
         if quad.op.is_if() || quad.op.is_loop_head() {
-            // `var` records the governing variable when there is an obvious
-            // one (the LCV for loops); for ifs, fall back to the first
-            // scalar compared, else the statement's own destination.
-            let var = quad
-                .dst
-                .as_var()
-                .or_else(|| quad.a.as_var())
-                .or_else(|| quad.b.as_var())
-                .unwrap_or_else(|| {
-                    // Guaranteed to exist: every program interns at least
-                    // the names used by this statement; fall back to any
-                    // symbol. Headers always have an operand in practice.
-                    prog.syms().iter().next().expect("non-empty symbol table")
-                });
-            stack.push((stmt, var));
+            stack.push((stmt, control_var(prog, quad)));
         }
     }
     edges
+}
+
+/// The `var` every control edge out of header `quad` carries: the
+/// governing variable when there is an obvious one (the LCV for loops);
+/// for ifs, the first scalar compared, else any symbol. It reads the
+/// header's operands, so rewriting an `if` operand can change it.
+pub(crate) fn control_var(prog: &Program, quad: &Quad) -> Sym {
+    quad.dst
+        .as_var()
+        .or_else(|| quad.a.as_var())
+        .or_else(|| quad.b.as_var())
+        .unwrap_or_else(|| {
+            // Guaranteed to exist: every program interns at least the
+            // names used by this statement; fall back to any symbol.
+            // Headers always have an operand in practice.
+            prog.syms().iter().next().expect("non-empty symbol table")
+        })
 }
 
 /// Direction vectors for control edges are empty; the helper exists so the

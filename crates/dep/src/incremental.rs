@@ -1,7 +1,51 @@
 //! Incremental dependence maintenance: update a [`DepGraph`] from an
 //! [`EditDelta`] instead of re-analyzing the whole program.
 //!
-//! The update is *exact*, not approximate. The argument, per layer:
+//! The update is *exact*, not approximate. It has three paths, from the
+//! narrowest to the widest.
+//!
+//! ## Operand rewrites
+//!
+//! A non-structural batch made only of `Modify` ops leaves program order
+//! and marker structure alone, so the snapshot's order table, control
+//! edges and signatures stay (except as below), and each rewritten slot
+//! `(stmt, pos)` updates only the edges its accesses take part in. Every
+//! scalar and array edge names its endpoint slots, and the accesses at
+//! `(stmt, pos)` — the scalar there, the subscript scalars of an element
+//! there, the array reference — all belong to that slot's operand. Per
+//! kind of slot:
+//!
+//! * **A used operand.** Removing a use creates or changes no other edge:
+//!   uses kill nothing in reaching definitions or reaching uses (each
+//!   use is its own bit), the carried-edge exposure test kills on
+//!   definitions only (`scalars.rs`), and array edges are tested pair by
+//!   pair. Adding a use likewise only adds the new access's own edges. So
+//!   the edges with an endpoint at the slot are dropped, and the new
+//!   operand's scalars are re-derived per variable, keeping only the
+//!   edges at the slot, while its array reference is tested against every
+//!   reference of its array. A constant replacement re-derives nothing.
+//! * **A scalar definition** (`Dst` of a defining statement). Kills
+//!   change, so the old and the new defined variable's edges are dropped
+//!   and re-derived wholesale, as on the per-variable path below.
+//! * **An `if` header operand.** The header's control edges carry its
+//!   first compared scalar as `var` (`control.rs`), so they are patched
+//!   in place; each one's sort position is fixed by its (src, dst, kind)
+//!   prefix, as a header controls each statement by one edge.
+//! * **A loop bound** (`A`/`B` of a `do` head). The loop table's entry is
+//!   refreshed. Bounds reach edges only through the array layer: trip
+//!   counts of the pairs whose common nest includes the loop (both
+//!   references in its body) and the fusion previews between the loop
+//!   and its adjacent partners (bound equality gates them, and the
+//!   aligned level is the loop itself). Exactly those array pairs are
+//!   dropped and re-tested; a preview edge is told from an ordinary edge
+//!   between the same two loops by its one extra direction level. The
+//!   scalar layer never reads bounds.
+//!
+//! Rewriting a header quad also recomputes both signature tables, which
+//! hash header quads. The search frontier is computed as on the general
+//! path, from the same symbol set, so searches resume at the same anchor.
+//!
+//! ## Other non-structural batches
 //!
 //! * **Scalar edges.** The reaching-defs/uses transfer functions are
 //!   per-variable: a definition of `v` generates and kills only bits of
@@ -25,6 +69,26 @@
 //! * **Control edges.** Recomputed wholesale; the header-stack walk is
 //!   linear and cheap.
 //!
+//! Two cases reach beyond the edit's own symbols. They are detected
+//! here rather than in the journal and handled by dirtying every array
+//! referenced in the affected *focus loops* (re-deriving their slice of
+//! the array layer, previews included), while the scalar layer stays
+//! restricted to the edit's symbols:
+//!
+//! * a plain statement inserted between or removed from between an
+//!   `end do`/`do` pair changes whether those two loops are adjacent,
+//!   and loop adjacency gates the fusion-preview pass — whose edges
+//!   involve arrays the edited statement never mentions (focus: the two
+//!   loops of the pair); and
+//! * a loop header's *bound* operand rewritten changes trip counts,
+//!   which only the array subscript tests consume — the loop table and
+//!   control edges are rebuilt fresh on this path, and the scalar layer
+//!   never reads bounds (focus: the modified loop, which encloses every
+//!   pair whose common nest the bound governs, plus its adjacent loops,
+//!   whose fusion previews test bound equality).
+//!
+//! ## Structural batches
+//!
 //! Edits that change the loop or branch *structure* (markers inserted,
 //! deleted or relocated, or a loop header's control variable rewritten)
 //! invalidate direction vectors and common nests for pairs that were
@@ -45,34 +109,19 @@
 //! statements keep under any batch), and the accesses between them —
 //! all either unchanged or dirty. Direction vectors and common nests
 //! hash in through the header quads; preview edges through the
-//! partnership signatures. Two milder cases are detected here rather
-//! than in the journal and handled by dirtying every array referenced in
-//! the affected *focus loops* (re-deriving their slice of the array
-//! layer, previews included), while the scalar layer stays restricted to
-//! the edit's symbols:
-//!
-//! * a plain statement inserted between or removed from between an
-//!   `end do`/`do` pair changes whether those two loops are adjacent,
-//!   and loop adjacency gates the fusion-preview pass — whose edges
-//!   involve arrays the edited statement never mentions (focus: the two
-//!   loops of the pair); and
-//! * a loop header's *bound* operand rewritten changes trip counts,
-//!   which only the array subscript tests consume — the loop table and
-//!   control edges are rebuilt fresh on every update, and the scalar
-//!   layer never reads bounds (focus: the modified loop, which encloses
-//!   every pair whose common nest the bound governs, plus its adjacent
-//!   loops, whose fusion previews test bound equality).
+//! partnership signatures.
 //!
 //! [`Accesses::collect_where`]: crate::reach::Accesses::collect_where
 
-use crate::arrays::array_deps_filtered;
+use crate::arrays::{array_deps_filtered, array_deps_scoped, Site};
 use crate::build::{self, AnalyzeError};
-use crate::control::{assert_no_directions, control_deps};
-use crate::edge::DepKind;
+use crate::control::{assert_no_directions, control_deps, control_var};
+use crate::edge::{DepEdge, DepKind};
 use crate::query::DepGraph;
 use crate::scalars::scalar_deps_filtered;
 use gospel_ir::{
-    Cfg, EditDelta, EditOp, LoopTable, Opcode, Operand, OperandPos, Program, Quad, StmtId, Sym,
+    Cfg, EditDelta, EditOp, LoopId, LoopTable, Opcode, Operand, OperandPos, Program, Quad, StmtId,
+    Sym,
 };
 use std::hash::{Hash, Hasher};
 
@@ -155,6 +204,10 @@ impl SymSet {
 
     pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 }
 
@@ -339,6 +392,79 @@ fn bridged_pair(prog: &Program, prev: Option<StmtId>) -> Option<(StmtId, StmtId)
     prog.quad(n).op.is_loop_head().then_some((p, n))
 }
 
+/// Adds the loops whose array edges a bound rewrite at each of `heads`
+/// can change to `focus`: the rewritten loop, which encloses every pair
+/// whose common nest the bound governs, and its adjacent loops, whose
+/// fusion previews test bound equality.
+fn note_bound_focus(prog: &Program, loops: &LoopTable, heads: &[StmtId], focus: &mut Vec<LoopId>) {
+    if heads.is_empty() {
+        return;
+    }
+    let adjacent = loops.adjacent_pairs(prog);
+    for &h in heads {
+        if let Some(l) = loops.loop_of_head(h) {
+            note_loop(l, focus);
+            for &(a, b) in &adjacent {
+                if a == l {
+                    note_loop(b, focus);
+                }
+                if b == l {
+                    note_loop(a, focus);
+                }
+            }
+        }
+    }
+}
+
+fn note_loop(l: LoopId, focus: &mut Vec<LoopId>) {
+    if !focus.contains(&l) {
+        focus.push(l);
+    }
+}
+
+/// Adds every array referenced in the bodies of the `focus` loops to `set`.
+fn note_body_arrays(prog: &Program, loops: &LoopTable, focus: &[LoopId], set: &mut SymSet) {
+    if focus.is_empty() {
+        return;
+    }
+    for s in prog.iter() {
+        if focus.iter().any(|&l| loops.contains(l, s)) {
+            for pos in OperandPos::ALL {
+                if let Operand::Elem { array, .. } = prog.quad(s).operand(pos) {
+                    set.insert(*array);
+                }
+            }
+        }
+    }
+}
+
+/// The search frontier: the earliest live statement that mentions a
+/// dirty symbol, was itself touched, or is `extra` (a structural batch's
+/// first statement whose context changed, which can be a bare marker
+/// with no symbols of its own). Anything strictly before it matches
+/// exactly as it did before the batch.
+fn resume_frontier(
+    prog: &Program,
+    order: &[u32],
+    touched: &[StmtId],
+    extra: Option<StmtId>,
+    dirty: &SymSet,
+) -> Option<StmtId> {
+    let mut best: Option<(u32, StmtId)> = None;
+    let mut consider = |s: StmtId| match order.get(s.index()) {
+        Some(&p) if p != u32::MAX && best.is_none_or(|(bp, _)| p < bp) => best = Some((p, s)),
+        _ => {}
+    };
+    touched.iter().copied().chain(extra).for_each(&mut consider);
+    if let Some(s) = prog
+        .iter()
+        .find(|&s| quad_syms(prog.quad(s), &mut |v| dirty.contains(v)))
+    {
+        consider(s); // program order: the first hit is the earliest
+    }
+    best.map(|(_, s)| s).or_else(|| prog.first())
+}
+
 pub(crate) fn update(
     g: &mut DepGraph,
     prog: &Program,
@@ -350,6 +476,9 @@ pub(crate) fn update(
             frontier: None,
             stats: UpdateStats::default(),
         });
+    }
+    if operands_only(g, prog, delta) {
+        return update_operands(g, prog, delta);
     }
     let structural = delta.requires_full();
 
@@ -451,12 +580,7 @@ pub(crate) fn update(
     let cfg = Cfg::of(prog);
     let loops = LoopTable::of(prog)?;
 
-    let mut focus: Vec<gospel_ir::LoopId> = Vec::new();
-    let note = |l: gospel_ir::LoopId, focus: &mut Vec<gospel_ir::LoopId>| {
-        if !focus.contains(&l) {
-            focus.push(l);
-        }
-    };
+    let mut focus: Vec<LoopId> = Vec::new();
     // Earliest statement whose context signature changed, for the
     // frontier scan below (structural batches only).
     let mut ctx_frontier: Option<StmtId> = None;
@@ -485,14 +609,14 @@ pub(crate) fn update(
                 .map(|i| stored[i].1);
             if old != Some(sig) {
                 if let Some(l) = loops.loop_of_head(head) {
-                    note(l, &mut focus);
+                    note_loop(l, &mut focus);
                 }
             }
         }
         // Loops present only in the old snapshot need no special case:
         // a vanished header changes the context signature of every
         // statement that was in its body.
-    } else if !bound_heads.is_empty() || !pair_markers.is_empty() {
+    } else {
         // Trip counts feed the subscript tests of every pair nested in
         // the modified loop, and adjacency (or bound equality) gates the
         // fusion previews between a loop and its neighbors — both affect
@@ -501,37 +625,14 @@ pub(crate) fn update(
         // adjacent preview partners, and the loops whose adjacency
         // changed. The scalar layer never reads bounds or adjacency, so
         // it stays restricted to the edit's own symbols.
-        let adjacent = loops.adjacent_pairs(prog);
-        for &h in &bound_heads {
-            if let Some(l) = loops.loop_of_head(h) {
-                note(l, &mut focus);
-                for &(a, b) in &adjacent {
-                    if a == l {
-                        note(b, &mut focus);
-                    }
-                    if b == l {
-                        note(a, &mut focus);
-                    }
-                }
-            }
-        }
+        note_bound_focus(prog, &loops, &bound_heads, &mut focus);
         for &m in &pair_markers {
             if let Some(l) = loops.loop_of_end(m).or_else(|| loops.loop_of_head(m)) {
-                note(l, &mut focus);
+                note_loop(l, &mut focus);
             }
         }
     }
-    if !focus.is_empty() {
-        for s in prog.iter() {
-            if focus.iter().any(|&l| loops.contains(l, s)) {
-                for pos in OperandPos::ALL {
-                    if let Operand::Elem { array, .. } = prog.quad(s).operand(pos) {
-                        dirty.insert(*array);
-                    }
-                }
-            }
-        }
-    }
+    note_body_arrays(prog, &loops, &focus, &mut dirty);
 
     // Drop stale edges. Control edges are recomputed wholesale; a data
     // edge is stale iff its variable is dirty (an edge incident to a
@@ -560,38 +661,10 @@ pub(crate) fn update(
 
     build::merge_sorted(&order, &mut edges, fresh);
 
-    // The search frontier: the earliest live statement that mentions a
-    // dirty symbol, was itself touched, or anchors (precedes) an edit
-    // site. Anything strictly before it matches exactly as it did
-    // before the batch.
     let frontier = if from_start {
         prog.first()
     } else {
-        let mut best: Option<(u32, StmtId)> = None;
-        let consider = |s: StmtId, best: &mut Option<(u32, StmtId)>| {
-            match order.get(s.index()) {
-                Some(&p) if p != u32::MAX && best.map(|(bp, _)| p < bp).unwrap_or(true) => {
-                    *best = Some((p, s));
-                }
-                _ => {}
-            }
-        };
-        for &s in &touched {
-            consider(s, &mut best);
-        }
-        // Structural batches: a statement whose context changed can be a
-        // bare marker with no symbols of its own — the sym scan below
-        // would miss it.
-        if let Some(s) = ctx_frontier {
-            consider(s, &mut best);
-        }
-        if let Some(s) = prog
-            .iter()
-            .find(|&s| quad_syms(prog.quad(s), &mut |v| dirty.contains(v)))
-        {
-            consider(s, &mut best); // program order: the first hit is the earliest
-        }
-        best.map(|(_, s)| s).or_else(|| prog.first())
+        resume_frontier(prog, &order, &touched, ctx_frontier, &dirty)
     };
 
     *g = DepGraph::from_edges(prog, loops, edges, order);
@@ -601,6 +674,238 @@ pub(crate) fn update(
         } else {
             UpdateKind::Incremental
         },
+        frontier,
+        stats,
+    })
+}
+
+/// True for a batch the operand-granular path takes: non-structural and
+/// made only of `Modify` ops on live statements. The path indexes the
+/// snapshot's order and loop tables, so it also requires them to cover
+/// every statement and rewritten loop; a snapshot left stale by a
+/// skipped update goes to the general path, which rebuilds both.
+fn operands_only(g: &DepGraph, prog: &Program, delta: &EditDelta) -> bool {
+    !delta.requires_full()
+        && g.order_table().len() == prog.id_bound()
+        && delta.ops().iter().all(|op| {
+            matches!(op, EditOp::Modify { id, .. }
+                if prog.is_live(*id)
+                    && (!prog.quad(*id).op.is_loop_head() || g.loops().loop_of_head(*id).is_some()))
+        })
+}
+
+/// One operand slot a batch of `Modify` ops rewrote, with the operand it
+/// held before the batch (the `old` of the slot's first `Modify`).
+struct Rewrite<'d> {
+    stmt: StmtId,
+    pos: OperandPos,
+    old: &'d Operand,
+}
+
+/// A rewritten loop bound's scope: the loop, and its adjacent partners.
+struct BoundScope {
+    l: LoopId,
+    partners: Vec<LoopId>,
+}
+
+impl BoundScope {
+    /// True if the array pair `a`, `b` is tested against the loop's trip
+    /// count: both references sit in its body.
+    fn nests(&self, loops: &LoopTable, a: StmtId, b: StmtId) -> bool {
+        loops.contains(self.l, a) && loops.contains(self.l, b)
+    }
+
+    /// True if `a`, `b` sit in the loop and one of its adjacent
+    /// partners, in either order: the pairs the fusion preview of the
+    /// two loops tests.
+    fn previews(&self, loops: &LoopTable, a: StmtId, b: StmtId) -> bool {
+        let in_partner = |s| self.partners.iter().any(|&p| loops.contains(p, s));
+        (loops.contains(self.l, a) && in_partner(b)) || (in_partner(a) && loops.contains(self.l, b))
+    }
+}
+
+/// The operand-granular update of a non-structural batch made only of
+/// `Modify` ops. Such a batch leaves program order and marker structure
+/// alone, so the snapshot's order table and control edges stay, and its
+/// signatures too unless a header quad was rewritten. Each rewritten
+/// slot updates only the edges its accesses take part in (see the
+/// module docs for why that is exact).
+fn update_operands(
+    g: &mut DepGraph,
+    prog: &Program,
+    delta: &EditDelta,
+) -> Result<DepUpdate, AnalyzeError> {
+    // The dirty set, touched statements and focus loops are collected as
+    // the general path collects them, so the frontier — and with it the
+    // resumed search — is the same. The re-derivation does not read them.
+    let nsyms = prog.syms().len();
+    let mut dirty = SymSet::new(nsyms);
+    let mut touched: Vec<StmtId> = Vec::new();
+    let mut bound_heads: Vec<StmtId> = Vec::new();
+    let mut rewrites: Vec<Rewrite<'_>> = Vec::new();
+    for op in delta.ops() {
+        let EditOp::Modify { id, pos, old } = op else {
+            unreachable!("operands_only admits Modify-only batches")
+        };
+        let quad = prog.quad(*id);
+        dirty_operand(old, &mut dirty);
+        dirty_operand(quad.operand(*pos), &mut dirty);
+        touched.push(*id);
+        if quad.op.is_loop_head() {
+            bound_heads.push(*id);
+        }
+        if !rewrites.iter().any(|r| r.stmt == *id && r.pos == *pos) {
+            rewrites.push(Rewrite {
+                stmt: *id,
+                pos: *pos,
+                old,
+            });
+        }
+    }
+    for &s in &touched {
+        gospel_ir::validate_stmt(prog, s)?;
+    }
+    // A slot rewritten back to what it held changed nothing.
+    rewrites.retain(|r| prog.quad(r.stmt).operand(r.pos) != r.old);
+
+    // What the new operands bring in, and what else their slots govern.
+    let mut full = SymSet::new(nsyms); // scalars whose kills changed
+    let mut scalars = SymSet::new(nsyms); // scalars to re-derive edges of
+    let mut arrays = SymSet::new(nsyms); // arrays whose pairs are tested
+    let mut headers = false;
+    let mut control: Vec<(StmtId, Sym)> = Vec::new();
+    let mut bound_loops: Vec<LoopId> = Vec::new();
+    for r in &rewrites {
+        let quad = prog.quad(r.stmt);
+        if quad.op.is_loop_head() {
+            headers = true;
+            let l = g
+                .loops()
+                .loop_of_head(r.stmt)
+                .expect("operands_only checked that the snapshot has this loop");
+            g.loops_mut().refresh_bounds(prog, l);
+            note_loop(l, &mut bound_loops);
+        } else if quad.op.is_if() {
+            headers = true;
+            if !control.iter().any(|&(h, _)| h == r.stmt) {
+                control.push((r.stmt, control_var(prog, quad)));
+            }
+        }
+        if r.pos == OperandPos::Dst && quad.op.defines() {
+            for op in [r.old, &quad.dst] {
+                if let Operand::Var(v) = op {
+                    full.insert(*v);
+                    scalars.insert(*v);
+                }
+            }
+        }
+        match quad.operand(r.pos) {
+            Operand::Var(v) => scalars.insert(*v),
+            Operand::Elem { array, subs } => {
+                arrays.insert(*array);
+                for v in subs.iter().flat_map(|s| s.vars()) {
+                    scalars.insert(v);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let mut edges = g.take_edges();
+    let loops = g.loops();
+    let order = g.order_table();
+    let mut focus: Vec<LoopId> = Vec::new();
+    note_bound_focus(prog, loops, &bound_heads, &mut focus);
+    note_body_arrays(prog, loops, &focus, &mut dirty);
+    let frontier = resume_frontier(prog, order, &touched, None, &dirty);
+
+    let mut scopes: Vec<BoundScope> = Vec::new();
+    if !bound_loops.is_empty() {
+        let adjacent = loops.adjacent_pairs(prog);
+        for &l in &bound_loops {
+            let partners: Vec<LoopId> = adjacent
+                .iter()
+                .filter_map(|&(a, b)| (a == l).then_some(b).or((b == l).then_some(a)))
+                .collect();
+            let mut all = partners.clone();
+            all.push(l);
+            note_body_arrays(prog, loops, &all, &mut arrays);
+            scopes.push(BoundScope { l, partners });
+        }
+    }
+
+    let at = |s: StmtId, p: OperandPos| rewrites.iter().any(|r| r.stmt == s && r.pos == p);
+    let touches = |e: &DepEdge| at(e.src, e.src_pos) || at(e.dst, e.dst_pos);
+    // An array edge a rewritten bound governs: both ends in the loop, or
+    // a fusion preview of the loop and a partner (a preview's vector has
+    // one level more than the loops enclosing both ends).
+    let governed = |e: &DepEdge| {
+        scopes.iter().any(|sc| {
+            sc.nests(loops, e.src, e.dst)
+                || (e.dirvec.len() > loops.get(sc.l).depth && sc.previews(loops, e.src, e.dst))
+        })
+    };
+
+    // Drop exactly the stale edges, and patch the control edges of
+    // rewritten `if` headers: their `var` is the header's first compared
+    // scalar. A header controls each statement by one edge, whose sort
+    // position its (src, dst, kind) prefix fixes, so the patch keeps the
+    // list in canonical order.
+    let before = edges.len();
+    let mut patched = 0;
+    edges.retain_mut(|e| {
+        if e.kind == DepKind::Control {
+            if let Some(&(_, var)) = control.iter().find(|&&(h, _)| h == e.src) {
+                e.var = var;
+                patched += 1;
+            }
+            return true;
+        }
+        !(full.contains(e.var)
+            || touches(e)
+            || (!scopes.is_empty() && arrays.contains(e.var) && governed(e)))
+    });
+    let edges_dropped = before - edges.len();
+
+    // Re-derive: every edge of a scalar whose kills changed, the new
+    // accesses' edges, and the array pairs a rewritten bound governs.
+    let mut fresh = Vec::new();
+    if !scalars.is_empty() {
+        let cfg = Cfg::of(prog);
+        fresh.extend(
+            scalar_deps_filtered(prog, &cfg, loops, order, Some(&scalars))
+                .into_iter()
+                .filter(|e| full.contains(e.var) || touches(e)),
+        );
+    }
+    if !arrays.is_empty() {
+        let at_site = |(s, p): Site| at(s, p);
+        fresh.extend(array_deps_scoped(
+            prog,
+            loops,
+            order,
+            Some(&arrays),
+            |a, b| at_site(a) || at_site(b) || scopes.iter().any(|sc| sc.nests(loops, a.0, b.0)),
+            |a, b| {
+                at_site(a)
+                    || at_site(b)
+                    || scopes
+                        .iter()
+                        .any(|sc| sc.nests(loops, a.0, b.0) || sc.previews(loops, a.0, b.0))
+            },
+        ));
+    }
+    let stats = UpdateStats {
+        dirty_syms: dirty.len(),
+        edges_dropped: edges_dropped + patched,
+        edges_added: fresh.len() + patched,
+    };
+    if !fresh.is_empty() {
+        build::merge_sorted(order, &mut edges, fresh);
+    }
+    g.install(prog, edges, headers);
+    Ok(DepUpdate {
+        kind: UpdateKind::Incremental,
         frontier,
         stats,
     })
@@ -866,6 +1171,255 @@ mod tests {
         assert_eq!(up.kind, UpdateKind::Incremental);
         assert_eq!(up.frontier, p.first());
         assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn use_rewritten_to_a_constant_drops_only_its_own_edges() {
+        // `y = x + x` → `y = 3 + x`: the flow edge into slot A dies, the
+        // one into slot B stays, and nothing is re-derived.
+        let mut p = compile("program p\ninteger x, y\nx = 1\ny = x + x\nwrite y\nend").unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let s1 = nth(&p, 1);
+        let mut d = EditDelta::new();
+        d.modify(&mut p, s1, OperandPos::A, Operand::int(3));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert_eq!((up.stats.edges_dropped, up.stats.edges_added), (1, 0));
+        assert_eq!(up.frontier, Some(nth(&p, 0)));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn use_rewritten_to_a_variable_derives_only_the_new_access() {
+        // `y = x` → `y = z`: x's flow edge into the use goes, z's comes;
+        // x's other edges (the output pair, the flow into `w = x`) stay.
+        let mut p = compile(
+            "program p\ninteger x, y, z, w\nx = 1\nz = 2\nx = 3\ny = x\nw = x\nwrite y\nwrite w\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let s3 = nth(&p, 3);
+        let z = p.syms().lookup("z").unwrap();
+        let mut d = EditDelta::new();
+        d.modify(&mut p, s3, OperandPos::A, Operand::Var(z));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert_eq!((up.stats.edges_dropped, up.stats.edges_added), (1, 1));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn element_rewritten_to_a_constant_drops_its_array_and_subscript_edges() {
+        let mut p = compile(
+            "program p\ninteger i\nreal a(100), x\ndo i = 2, 100\na(i) = x\nx = a(i-1)\nend do\nwrite x\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let read = nth(&p, 2); // x = a(i-1)
+        let mut d = EditDelta::new();
+        d.modify(&mut p, read, OperandPos::A, Operand::real(0.5));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert_eq!(up.stats.edges_added, 0);
+        assert!(g
+            .to(read)
+            .all(|e| e.dst_pos != OperandPos::A || e.kind == DepKind::Control));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn use_rewritten_to_an_element_derives_its_array_pairs() {
+        // `x = y` → `x = a(i-1)` inside the loop: the new reference pairs
+        // with the write `a(i)` (a carried flow) and reads i.
+        let mut p = compile(
+            "program p\ninteger i\nreal a(100), x, y\ndo i = 2, 100\na(i) = y\nx = y\nend do\nwrite x\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let copy = nth(&p, 2);
+        let a = p.syms().lookup("a").unwrap();
+        let i = p.syms().lookup("i").unwrap();
+        let sub = gospel_ir::AffineExpr::var(i).plus(&gospel_ir::AffineExpr::constant_expr(-1));
+        let mut d = EditDelta::new();
+        d.modify(&mut p, copy, OperandPos::A, Operand::elem1(a, sub));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert!(g.exists(DepKind::Flow, nth(&p, 1), copy, &crate::DirPattern::any()));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn definition_rewrite_rederives_the_old_and_new_variable() {
+        // `x = 2` → `y = 2`: the kill of x moves, so `x = 1` now reaches
+        // the use, and y gains a definition — both variables' edges are
+        // re-derived wholesale.
+        let mut p =
+            compile("program p\ninteger x, y\nx = 1\nx = 2\nwrite x\nwrite y\nend").unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let s1 = nth(&p, 1);
+        let y = p.syms().lookup("y").unwrap();
+        let mut d = EditDelta::new();
+        d.modify(&mut p, s1, OperandPos::Dst, Operand::Var(y));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert_matches_fresh(&p, &g);
+        assert!(g.exists(
+            DepKind::Flow,
+            nth(&p, 0),
+            nth(&p, 2),
+            &crate::DirPattern::any()
+        ));
+    }
+
+    #[test]
+    fn if_header_rewrite_refreshes_its_control_var() {
+        // The header's control edges carry its first compared scalar:
+        // `if (x > 0)` → `if (z > 0)` moves them from x to z.
+        let mut p = compile(
+            "program p\ninteger x, y, z\nif (x > 0) then\ny = 1\nelse\ny = 2\nend if\nwrite y\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let head = nth(&p, 0);
+        let z = p.syms().lookup("z").unwrap();
+        let mut d = EditDelta::new();
+        d.modify(&mut p, head, OperandPos::A, Operand::Var(z));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        let ctrl: Vec<_> = g
+            .from(head)
+            .filter(|e| e.kind == DepKind::Control)
+            .collect();
+        assert_eq!(ctrl.len(), 2);
+        assert!(ctrl.iter().all(|e| e.var == z));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn loop_bound_rewrite_refreshes_the_loop_and_its_previews() {
+        // Two adjacent equal-bound loops over `a`: their fusion previews
+        // exist. Rewriting the second loop's bound breaks the bound
+        // equality (previews go), and restoring it brings them back. The
+        // third loop is not adjacent to the rewritten one: its edges stay.
+        let mut p = compile(
+            "program p\ninteger i, j, n\nreal a(100), b(100), x\ndo i = 1, 100\na(i) = x\nend do\ndo i = 1, 100\nx = a(i)\nend do\nx = 0.5\ndo j = 1, 100\nb(j) = b(j-1)\nend do\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let a = p.syms().lookup("a").unwrap();
+        let previews = |g: &DepGraph| {
+            g.edges()
+                .iter()
+                .filter(|e| e.var == a && e.dirvec.len() == 1)
+                .count()
+        };
+        assert_eq!(previews(&g), 1);
+        let head2 = nth(&p, 3);
+        let n = p.syms().lookup("n").unwrap();
+        let mut d = EditDelta::new();
+        d.modify(&mut p, head2, OperandPos::B, Operand::Var(n));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.kind, UpdateKind::Incremental);
+        assert_eq!(g.loops().by_index(1).unwrap().fin, Operand::Var(n));
+        assert_eq!(previews(&g), 0);
+        assert_matches_fresh(&p, &g);
+        let mut d2 = EditDelta::new();
+        d2.modify(&mut p, head2, OperandPos::B, Operand::int(100));
+        g.update(&p, &d2).unwrap();
+        assert_eq!(previews(&g), 1);
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn bound_rewrite_frontier_covers_the_focus_arrays() {
+        // The frontier is the first mention of any array the rewritten
+        // loop references — here before the loop — as the general path
+        // computes it, so resumed searches visit the same anchors.
+        let mut p = compile(
+            "program p\ninteger i\nreal a(100), x, y\ny = 1.0\nx = a(1)\ndo i = 1, 100\na(i) = x\nend do\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let head = nth(&p, 2);
+        let mut d = EditDelta::new();
+        d.modify(&mut p, head, OperandPos::B, Operand::int(50));
+        let up = g.update(&p, &d).unwrap();
+        assert_eq!(up.frontier, Some(nth(&p, 1)));
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn header_rewrite_refreshes_the_signatures() {
+        // The bound rewrite changes the header quad both signatures hash.
+        // The structural batch after it restores the bound: diffed
+        // against stale signatures, the loop would look unchanged and its
+        // trip-count-pruned edges would never come back.
+        let mut p = compile(
+            "program p\ninteger i\nreal a(100), x\ndo i = 1, 10\na(i) = x\nx = a(i-1)\nend do\nwrite x\nend",
+        )
+        .unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let head = nth(&p, 0);
+        let mut d = EditDelta::new();
+        d.modify(&mut p, head, OperandPos::B, Operand::int(1));
+        g.update(&p, &d).unwrap();
+        assert_matches_fresh(&p, &g);
+        let wr = nth(&p, 4);
+        let x = p.syms().lookup("x").unwrap();
+        let mut d2 = EditDelta::new();
+        let h = d2.insert_after(
+            &mut p,
+            Some(wr),
+            Quad::new(
+                Opcode::IfGt,
+                Operand::None,
+                Operand::Var(x),
+                Operand::int(0),
+            ),
+        );
+        d2.insert_after(&mut p, Some(h), Quad::marker(Opcode::EndIf));
+        d2.modify(&mut p, head, OperandPos::B, Operand::int(10));
+        assert_eq!(g.update(&p, &d2).unwrap().kind, UpdateKind::Structural);
+        assert_matches_fresh(&p, &g);
+    }
+
+    #[test]
+    fn a_stale_snapshot_takes_the_general_path() {
+        // An insert whose update was skipped leaves the snapshot without
+        // the new statement. Rewrites that would make the operand path
+        // read the snapshot's tables for it must take the general path:
+        // one re-derives the new statement's variable, one rewrites the
+        // new statement itself.
+        let mut p = compile("program p\ninteger x, y, z\nx = 1\ny = x\nend").unwrap();
+        let mut g = DepGraph::analyze(&p).unwrap();
+        let s0 = nth(&p, 0);
+        let use_x = nth(&p, 1);
+        let z = p.syms().lookup("z").unwrap();
+        let mut skipped = EditDelta::new();
+        let def_z = skipped.insert_after(
+            &mut p,
+            Some(s0),
+            Quad::assign(Operand::Var(z), Operand::int(3)),
+        );
+        let mut d = EditDelta::new();
+        d.modify(&mut p, use_x, OperandPos::A, Operand::Var(z));
+        assert!(g.update(&p, &d).is_ok());
+        let mut d2 = EditDelta::new();
+        d2.modify(&mut p, def_z, OperandPos::A, Operand::int(4));
+        assert!(g.update(&p, &d2).is_ok());
+
+        // A loop whose markers came back after the snapshot was taken
+        // (an undo nobody reported): the snapshot has no such loop.
+        let mut p = compile("program p\ninteger i, x\ndo i = 1, 10\nx = i\nend do\nend").unwrap();
+        let (head, end) = (nth(&p, 0), nth(&p, 2));
+        let mut dissolve = EditDelta::new();
+        dissolve.delete(&mut p, head);
+        dissolve.delete(&mut p, end);
+        let mut g = DepGraph::analyze(&p).unwrap();
+        dissolve.undo(&mut p);
+        let mut d3 = EditDelta::new();
+        d3.modify(&mut p, head, OperandPos::B, Operand::int(20));
+        assert!(g.update(&p, &d3).is_ok());
     }
 
     #[test]

@@ -88,19 +88,22 @@ impl DepGraph {
     }
 
     /// Updates this graph in place to reflect the edits recorded in
-    /// `delta`, applied to `prog` (the post-edit program).
+    /// `delta`, applied to `prog` (the post-edit program). The result is
+    /// exact: identical to a fresh [`DepGraph::analyze`].
     ///
-    /// Non-structural edits are handled incrementally: only the edges
-    /// whose variable was touched by the edit are dropped and re-derived
-    /// (the per-variable dataflow facts of untouched variables cannot
-    /// change), which is exact — the result is identical to a fresh
-    /// [`DepGraph::analyze`]. Structural edits (loop/branch markers
-    /// added, removed or relocated) fall back to a full re-analysis.
+    /// A batch of operand rewrites alone updates only the rewritten
+    /// operands' own edges. Any other non-structural batch drops and
+    /// re-derives the edges of every symbol the edit touched (the
+    /// per-variable dataflow facts of untouched symbols cannot change).
+    /// A structural batch (loop/branch markers added, removed or
+    /// relocated) widens that symbol set by diffing the snapshot's
+    /// context and partnership signatures; it is not re-analyzed either.
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeError`] when the post-edit program is invalid
-    /// (only reachable on the full-analysis fallback path).
+    /// Returns [`AnalyzeError`] when the post-edit program is invalid:
+    /// a touched statement fails validation, or a structural batch broke
+    /// the marker nesting.
     pub fn update(&mut self, prog: &Program, delta: &EditDelta) -> Result<DepUpdate, AnalyzeError> {
         incremental::update(self, prog, delta)
     }
@@ -119,8 +122,12 @@ impl DepGraph {
                     a.head == b.head
                         && a.end == b.end
                         && a.lcv == b.lcv
+                        && a.init == b.init
+                        && a.fin == b.fin
                         && a.depth == b.depth
                         && a.parent == b.parent
+                        && a.children == b.children
+                        && a.is_parallel == b.is_parallel
                 })
     }
 
@@ -147,6 +154,31 @@ impl DepGraph {
             ctx,
             partners,
         }
+    }
+
+    /// Installs `edges` — sorted, over the unchanged program order of an
+    /// operand-granular update — and rebuilds the adjacency. `headers`
+    /// says a loop or `if` header quad was rewritten, which the context
+    /// and partnership signatures hash, so they are recomputed.
+    pub(crate) fn install(&mut self, prog: &Program, edges: Vec<DepEdge>, headers: bool) {
+        let n = prog.id_bound();
+        self.from = Csr::build(n, &edges, |e| e.src.index());
+        self.to = Csr::build(n, &edges, |e| e.dst.index());
+        self.edges = edges;
+        if headers {
+            self.ctx = incremental::context_signatures(prog);
+            self.partners = incremental::partnership_signatures(prog, &self.loops);
+        }
+    }
+
+    /// The loop table, for patching a rewritten bound in place.
+    pub(crate) fn loops_mut(&mut self) -> &mut LoopTable {
+        &mut self.loops
+    }
+
+    /// The dense program-order table of the snapshot.
+    pub(crate) fn order_table(&self) -> &[u32] {
+        &self.order
     }
 
     /// Context signature of `s` in the snapshot this graph was computed
@@ -308,6 +340,19 @@ mod tests {
         let mut p = Program::new("bad");
         p.push(gospel_ir::Quad::marker(gospel_ir::Opcode::EndDo));
         assert!(DepGraph::analyze(&p).is_err());
+    }
+
+    #[test]
+    fn stale_loop_bound_disagrees_with_fresh_analysis() {
+        // The bound feeds no edge here (no arrays), so only the loop
+        // table can tell the stale snapshot from the fresh one.
+        let (mut p, g) = graph("program p\ninteger i, x\ndo i = 1, 10\nx = 1\nend do\nend");
+        let head = p.first().unwrap();
+        p.modify(head, gospel_ir::OperandPos::B, gospel_ir::Operand::int(20));
+        let fresh = DepGraph::analyze(&p).unwrap();
+        assert_eq!(g.edges(), fresh.edges());
+        assert!(!g.agrees_with(&fresh));
+        assert!(DepGraph::analyze(&p).unwrap().agrees_with(&fresh));
     }
 
     #[test]

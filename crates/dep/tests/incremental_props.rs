@@ -8,7 +8,7 @@
 //! a composed strategy), so every failure reproduces by rerunning the
 //! test with the same seed case.
 
-use gospel_dep::DepGraph;
+use gospel_dep::{DepGraph, UpdateKind};
 use gospel_ir::{
     AffineExpr, EditDelta, Opcode, Operand, OperandPos, Program, ProgramBuilder, Quad, StmtId, Sym,
 };
@@ -52,43 +52,80 @@ fn gen_assign(b: &mut ProgramBuilder, rng: &mut TestRng, v: &Vars, idx: Sym) {
     }
 }
 
-/// A random structured program: straight-line assignments, single-level
-/// loops (distinct control variables), and conditionals, over a fixed
-/// pool of scalars and 1-D arrays.
+/// A random loop bound: usually a constant, sometimes a scalar (whose
+/// trip count the subscript tests cannot know).
+fn gen_bound(rng: &mut TestRng, v: &Vars, constant: i64) -> Operand {
+    if rng.below(4) == 0 {
+        Operand::Var(v.scalars[rng.below(v.scalars.len())])
+    } else {
+        Operand::int(constant)
+    }
+}
+
+/// Appends one random construct: an assignment, a loop (nested up to
+/// two levels, each with its own control variable) or a conditional.
+/// `open` holds the control variables of the enclosing loops; subscripts
+/// use one of them (or a plain scalar outside loops).
+fn gen_construct(
+    b: &mut ProgramBuilder,
+    rng: &mut TestRng,
+    v: &Vars,
+    lcvs: &[Sym],
+    next_lcv: &mut usize,
+    open: &mut Vec<Sym>,
+) {
+    let idx = if open.is_empty() {
+        v.scalars[0]
+    } else {
+        open[rng.below(open.len())]
+    };
+    match rng.below(4) {
+        0 | 1 => gen_assign(b, rng, v, idx),
+        2 if open.len() < 2 => {
+            let lcv = lcvs[*next_lcv % lcvs.len()];
+            *next_lcv += 1;
+            let lo = gen_bound(rng, v, 1);
+            let trip = 10 + rng.below(10) as i64;
+            let hi = gen_bound(rng, v, trip);
+            let tok = b.do_head(lcv, lo, hi);
+            open.push(lcv);
+            for _ in 0..1 + rng.below(3) {
+                gen_construct(b, rng, v, lcvs, next_lcv, open);
+            }
+            open.pop();
+            b.end_do(tok);
+        }
+        _ => {
+            let tok = b.if_head(
+                Opcode::IfGt,
+                Operand::Var(v.scalars[rng.below(v.scalars.len())]),
+                Operand::int(0),
+            );
+            gen_assign(b, rng, v, idx);
+            if rng.below(2) == 0 {
+                b.else_mark(tok);
+                gen_assign(b, rng, v, idx);
+            }
+            b.end_if(tok);
+        }
+    }
+}
+
+/// A random structured program: straight-line assignments, loops nested
+/// up to two levels (distinct control variables, bounds constant or read
+/// from scalars), and conditionals, over a fixed pool of scalars and 1-D
+/// arrays.
 fn gen_program(rng: &mut TestRng) -> (Program, Vars) {
     let mut b = ProgramBuilder::new("prop");
     let vars = Vars {
         scalars: (0..4).map(|k| b.scalar_int(&format!("x{k}"))).collect(),
         arrays: (0..2).map(|k| b.array_int(&format!("a{k}"), &[32])).collect(),
     };
-    let lcvs: Vec<Sym> = (0..3).map(|k| b.scalar_int(&format!("i{k}"))).collect();
+    let lcvs: Vec<Sym> = (0..4).map(|k| b.scalar_int(&format!("i{k}"))).collect();
     let mut next_lcv = 0;
+    let mut open = Vec::new();
     for _ in 0..2 + rng.below(4) {
-        match rng.below(4) {
-            0 | 1 => gen_assign(&mut b, rng, &vars, vars.scalars[0]),
-            2 => {
-                let lcv = lcvs[next_lcv % lcvs.len()];
-                next_lcv += 1;
-                let tok = b.do_head(lcv, Operand::int(1), Operand::int(10 + rng.below(10) as i64));
-                for _ in 0..1 + rng.below(3) {
-                    gen_assign(&mut b, rng, &vars, lcv);
-                }
-                b.end_do(tok);
-            }
-            _ => {
-                let tok = b.if_head(
-                    Opcode::IfGt,
-                    Operand::Var(vars.scalars[rng.below(vars.scalars.len())]),
-                    Operand::int(0),
-                );
-                gen_assign(&mut b, rng, &vars, vars.scalars[0]);
-                if rng.below(2) == 0 {
-                    b.else_mark(tok);
-                    gen_assign(&mut b, rng, &vars, vars.scalars[0]);
-                }
-                b.end_if(tok);
-            }
-        }
+        gen_construct(&mut b, rng, &vars, &lcvs, &mut next_lcv, &mut open);
     }
     (b.finish(), vars)
 }
@@ -116,16 +153,72 @@ fn gen_anchor(rng: &mut TestRng, prog: &Program) -> Option<StmtId> {
     }
 }
 
-/// One random batch of journaled primitive edits, mixing all five
-/// primitives plus the occasional structural insertion (an adjacent
-/// `if`/`end if` pair) so the full-reanalysis fallback is exercised too.
-fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
-    let mut d = EditDelta::new();
-    for _ in 0..1 + rng.below(4) {
-        let plain = plain_stmts(prog);
-        match rng.below(6) {
-            0 if !plain.is_empty() => {
-                // modify: rewrite an operand of a plain statement.
+/// Live statements whose opcode `keep` accepts.
+fn stmts_where(prog: &Program, keep: impl Fn(Opcode) -> bool) -> Vec<StmtId> {
+    prog.iter().filter(|&s| keep(prog.quad(s).op)).collect()
+}
+
+/// A small constant or a scalar: what a rewritten bound or `if` operand
+/// becomes. Small constants give trip counts short enough to prune
+/// carried array edges, so a stale trip count shows in the edges.
+fn gen_small(rng: &mut TestRng, v: &Vars) -> Operand {
+    if rng.below(2) == 0 {
+        Operand::int(1 + rng.below(2) as i64)
+    } else {
+        Operand::Var(v.scalars[rng.below(v.scalars.len())])
+    }
+}
+
+/// One random operand rewrite, from one of the classes the
+/// operand-granular update distinguishes: a loop bound (var → const,
+/// const → var), an `if` header operand, a used operand (var → const,
+/// var → var, element → const, or anything → anything), or a
+/// destination. Rewrites nothing when the program has no site of the
+/// drawn class.
+fn gen_rewrite(rng: &mut TestRng, prog: &mut Program, v: &Vars, d: &mut EditDelta) {
+    match rng.below(5) {
+        0 => {
+            let heads = stmts_where(prog, Opcode::is_loop_head);
+            if !heads.is_empty() {
+                let s = heads[rng.below(heads.len())];
+                let pos = [OperandPos::A, OperandPos::B][rng.below(2)];
+                let new = match prog.quad(s).operand(pos) {
+                    Operand::Var(_) => Operand::int(1 + rng.below(2) as i64),
+                    _ => Operand::Var(v.scalars[rng.below(v.scalars.len())]),
+                };
+                d.modify(prog, s, pos, new);
+            }
+        }
+        1 => {
+            let ifs = stmts_where(prog, Opcode::is_if);
+            if !ifs.is_empty() {
+                let s = ifs[rng.below(ifs.len())];
+                let pos = [OperandPos::A, OperandPos::B][rng.below(2)];
+                d.modify(prog, s, pos, gen_small(rng, v));
+            }
+        }
+        2 => {
+            // A used operand by class of what it holds now.
+            let mut sites: Vec<(StmtId, OperandPos)> = Vec::new();
+            for s in plain_stmts(prog) {
+                for &pos in prog.quad(s).used_positions() {
+                    if !prog.quad(s).operand(pos).is_const() {
+                        sites.push((s, pos));
+                    }
+                }
+            }
+            if !sites.is_empty() {
+                let (s, pos) = sites[rng.below(sites.len())];
+                let new = match (prog.quad(s).operand(pos), rng.below(2)) {
+                    (Operand::Var(_), 0) => Operand::Var(v.scalars[rng.below(v.scalars.len())]),
+                    _ => Operand::int(rng.below(100) as i64),
+                };
+                d.modify(prog, s, pos, new);
+            }
+        }
+        _ => {
+            let plain = plain_stmts(prog);
+            if !plain.is_empty() {
                 let s = plain[rng.below(plain.len())];
                 let pos = match (prog.quad(s).op, rng.below(3)) {
                     (_, 0) => OperandPos::Dst,
@@ -139,6 +232,36 @@ fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
                 };
                 d.modify(prog, s, pos, operand);
             }
+        }
+    }
+}
+
+/// Inserts an adjacent `if`/`end if` pair (an empty branch keeps nesting
+/// valid): a structural edit.
+fn gen_empty_if(rng: &mut TestRng, prog: &mut Program, v: &Vars, d: &mut EditDelta) {
+    let anchor = gen_anchor(rng, prog);
+    let head = d.insert_after(
+        prog,
+        anchor,
+        Quad::new(
+            Opcode::IfGt,
+            Operand::None,
+            Operand::Var(v.scalars[rng.below(v.scalars.len())]),
+            Operand::int(0),
+        ),
+    );
+    d.insert_after(prog, Some(head), Quad::marker(Opcode::EndIf));
+}
+
+/// One random batch of journaled primitive edits, mixing all five
+/// primitives, operand rewrites of every class, and the occasional
+/// structural insertion so the signature-diffing path is exercised too.
+fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
+    let mut d = EditDelta::new();
+    for _ in 0..1 + rng.below(4) {
+        let plain = plain_stmts(prog);
+        match rng.below(6) {
+            0 => gen_rewrite(rng, prog, v, &mut d),
             1 => {
                 let anchor = gen_anchor(rng, prog);
                 let quad = Quad::assign(
@@ -162,26 +285,22 @@ fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
                 };
                 d.move_after(prog, s, anchor);
             }
-            5 if rng.below(3) == 0 => {
-                // Structural: an adjacent if/end-if pair (empty branch keeps
-                // nesting valid); forces the full-fallback path of update.
-                let anchor = gen_anchor(rng, prog);
-                let head = d.insert_after(
-                    prog,
-                    anchor,
-                    Quad::new(
-                        Opcode::IfGt,
-                        Operand::None,
-                        Operand::Var(v.scalars[rng.below(v.scalars.len())]),
-                        Operand::int(0),
-                    ),
-                );
-                d.insert_after(prog, Some(head), Quad::marker(Opcode::EndIf));
-            }
+            5 if rng.below(3) == 0 => gen_empty_if(rng, prog, v, &mut d),
             _ => {}
         }
     }
     d
+}
+
+/// Checks `g` against a fresh analysis of `prog`, naming the case.
+fn check(g: &DepGraph, prog: &Program, case: &str) -> Result<(), TestCaseError> {
+    let fresh = DepGraph::analyze(prog).expect("fresh analysis after valid batch");
+    prop_assert!(
+        g.agrees_with(&fresh),
+        "{case}: incremental graph diverged from fresh analysis\nprogram:\n{}",
+        gospel_ir::DisplayProgram(prog)
+    );
+    Ok(())
 }
 
 proptest! {
@@ -212,6 +331,57 @@ proptest! {
                 gospel_ir::DisplayProgram(&prog)
             );
         }
+    }
+
+    #[test]
+    fn operand_rewrites_agree_with_fresh_analysis(seed in any::<u64>()) {
+        // Batches made only of operand rewrites: the operand-granular
+        // path, over every rewrite class, several batches in a row.
+        let mut rng = TestRng::from_name(&format!("incr-rewrite-{seed}"));
+        let (mut prog, vars) = gen_program(&mut rng);
+        let mut g = DepGraph::analyze(&prog).expect("analysis of generated program");
+        for batch in 0..1 + rng.below(4) {
+            let mut delta = EditDelta::new();
+            for _ in 0..1 + rng.below(3) {
+                gen_rewrite(&mut rng, &mut prog, &vars, &mut delta);
+            }
+            let up = g.update(&prog, &delta).expect("update after valid rewrites");
+            prop_assert!(
+                delta.is_empty() || up.kind == UpdateKind::Incremental,
+                "seed {seed} batch {batch}: {:?}", up.kind
+            );
+            check(&g, &prog, &format!("seed {seed} batch {batch}"))?;
+        }
+    }
+
+    #[test]
+    fn bound_rewrite_then_structural_batch_stays_exact(seed in any::<u64>()) {
+        // A bound rewrite patches the snapshot's loop table and must
+        // refresh its signatures: the structural batch that follows diffs
+        // against them. It restores the bound, so a stale signature would
+        // look unchanged and hide the loop's re-derivation.
+        let mut rng = TestRng::from_name(&format!("incr-bound-{seed}"));
+        let (mut prog, vars) = gen_program(&mut rng);
+        let heads = stmts_where(&prog, Opcode::is_loop_head);
+        if heads.is_empty() {
+            return Ok(());
+        }
+        let mut g = DepGraph::analyze(&prog).expect("analysis of generated program");
+        let head = heads[rng.below(heads.len())];
+        let pos = [OperandPos::A, OperandPos::B][rng.below(2)];
+        let original = prog.quad(head).operand(pos).clone();
+
+        let mut d1 = EditDelta::new();
+        d1.modify(&mut prog, head, pos, gen_small(&mut rng, &vars));
+        g.update(&prog, &d1).expect("update after a bound rewrite");
+        check(&g, &prog, &format!("seed {seed} bound rewrite"))?;
+
+        let mut d2 = EditDelta::new();
+        gen_empty_if(&mut rng, &mut prog, &vars, &mut d2);
+        d2.modify(&mut prog, head, pos, original);
+        let up = g.update(&prog, &d2).expect("update after a structural batch");
+        prop_assert_eq!(up.kind, UpdateKind::Structural);
+        check(&g, &prog, &format!("seed {seed} structural batch"))?;
     }
 
     #[test]

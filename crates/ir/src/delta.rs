@@ -106,9 +106,10 @@ impl EditDelta {
     }
 
     /// True when the batch touched control structure (loop or branch
-    /// markers added, removed or relocated, or a loop header's operands
-    /// rewritten). Incremental dependence maintenance must fall back to a
-    /// full re-analysis in that case.
+    /// markers added, removed or relocated, or a loop header's control
+    /// variable rewritten). Incremental dependence maintenance must then
+    /// look past the edited statements, at every statement whose
+    /// enclosing structure changed.
     pub fn requires_full(&self) -> bool {
         self.structural
     }
@@ -163,7 +164,8 @@ impl EditDelta {
         // induction structure direction vectors are keyed on — that is
         // structural. Bound rewrites (A/B) only change trip counts, which
         // feed nothing but the array subscript tests; the incremental
-        // analyzer repairs those by re-deriving the whole array layer.
+        // analyzer repairs those by re-testing the array pairs the loop's
+        // bounds govern.
         self.structural |= prog.quad(id).op.is_loop_head() && pos == OperandPos::Dst;
         let old = prog.quad(id).operand(pos).clone();
         prog.modify(id, pos, operand);

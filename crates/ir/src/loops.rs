@@ -173,6 +173,16 @@ impl LoopTable {
         Ok(table)
     }
 
+    /// Re-reads loop `l`'s bounds (`.INIT`, `.FINAL`) from its header
+    /// after a bound operand was rewritten in place. Every other attribute
+    /// is fixed by the marker structure, which such a rewrite leaves alone.
+    pub fn refresh_bounds(&mut self, prog: &Program, l: LoopId) {
+        let info = &mut self.loops[l.index()];
+        let head = prog.quad(info.head);
+        info.init = head.a.clone();
+        info.fin = head.b.clone();
+    }
+
     /// Number of loops.
     pub fn len(&self) -> usize {
         self.loops.len()
@@ -455,6 +465,19 @@ mod tests {
         let (_, t) = nest();
         assert_eq!(t.trip_count(t.loops[0].id), Some(10));
         assert_eq!(t.trip_count(t.loops[1].id), Some(20));
+    }
+
+    #[test]
+    fn refreshed_bounds_match_a_rebuilt_table() {
+        let (mut p, mut t) = nest();
+        let inner = t.loops[1].id;
+        p.modify(t.get(inner).head, crate::OperandPos::B, Operand::int(7));
+        t.refresh_bounds(&p, inner);
+        let fresh = LoopTable::of(&p).unwrap();
+        assert_eq!(t.trip_count(inner), Some(7));
+        for (a, b) in t.iter().zip(fresh.iter()) {
+            assert_eq!((&a.init, &a.fin), (&b.init, &b.fin));
+        }
     }
 
     #[test]

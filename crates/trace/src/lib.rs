@@ -43,21 +43,18 @@ pub mod report;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// An event or counter name, or a string field value: a `&'static str`
-/// literal (the overwhelmingly common case), an owned dynamic string, or
-/// a shared one. Literals and shared strings clone without allocating,
-/// so a caller that renders a dynamic name once (an optimizer's
-/// per-clause counters, say) can record it any number of times for free.
+/// literal (the overwhelmingly common case) or an owned dynamic string.
+/// Literals copy without allocating, so a caller that renders a dynamic
+/// name once and keeps it for the process (an optimizer's per-clause
+/// counters, say) can record it any number of times for free.
 #[derive(Clone, Debug)]
 pub enum Name {
     /// A literal.
     Static(&'static str),
     /// A string built for one use.
     Owned(String),
-    /// A string built once and shared.
-    Shared(Arc<str>),
 }
 
 impl Name {
@@ -66,7 +63,6 @@ impl Name {
         match self {
             Name::Static(s) => s,
             Name::Owned(s) => s,
-            Name::Shared(s) => s,
         }
     }
 }
@@ -643,9 +639,13 @@ mod imp {
         /// true for the first call and every `every`-th call after it
         /// (`0`/`1` = every call). The phase is shared by everything
         /// recording here, so the sampled fraction holds across runs no
-        /// matter how few attempts each run makes.
+        /// matter how few attempts each run makes. The tick is a plain
+        /// load and store, not a read-modify-write: this runs on every
+        /// driver attempt, and calls racing from two threads merely
+        /// share a tick, which shifts the phase but not the fraction.
         pub fn sample(&self, every: u64) -> bool {
-            let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+            let tick = self.ticks.load(Ordering::Relaxed);
+            self.ticks.store(tick.wrapping_add(1), Ordering::Relaxed);
             tick.is_multiple_of(every.max(1))
         }
 
@@ -701,13 +701,43 @@ mod imp {
                 return;
             }
             let ts_ns = self.ts_ns();
-            let mut guard = self.lock();
-            let inner = &mut *guard;
+            Self::push_counters(&mut self.lock(), ts_ns, items);
+        }
+
+        /// The instant event `name`, then [`Recorder::add_many`]'s
+        /// counter events, under one lock acquisition and one clock
+        /// read: what a run-end flush records.
+        pub fn event_and_add_many(
+            &self,
+            name: &'static str,
+            fields: impl Into<Fields>,
+            items: impl IntoIterator<Item = (Name, u64)>,
+        ) {
+            let fields = fields.into();
+            let ts_ns = self.ts_ns();
+            let mut inner = self.lock();
+            let event = Event {
+                seq: 0,
+                ts_ns,
+                kind: EventKind::Instant,
+                name: Name::Static(name),
+                payload: Payload::None,
+                fields,
+            };
+            self.push(&mut inner, event);
+            Self::push_counters(&mut inner, ts_ns, items);
+        }
+
+        fn push_counters(
+            inner: &mut Inner,
+            ts_ns: u64,
+            items: impl IntoIterator<Item = (Name, u64)>,
+        ) {
             Inner::make_room(&mut inner.events);
             // One `extend` rather than a push per pair: the events are
             // written straight into the buffer, numbered as they go.
             let mut seq = inner.seq;
-            inner.events.extend(items.map(|(name, delta)| {
+            inner.events.extend(items.into_iter().map(|(name, delta)| {
                 seq += 1;
                 Event {
                     seq: seq - 1,
@@ -1087,6 +1117,16 @@ mod imp {
 
         /// No-op.
         #[inline]
+        pub fn event_and_add_many(
+            &self,
+            _name: &'static str,
+            _fields: impl Into<Fields>,
+            _items: impl IntoIterator<Item = (Name, u64)>,
+        ) {
+        }
+
+        /// No-op.
+        #[inline]
         pub fn observe(&self, _name: &str, _value: u64) {}
 
         /// No-op.
@@ -1228,6 +1268,35 @@ mod tests {
     }
 
     #[test]
+    fn an_event_with_counters_records_the_event_first() {
+        let rec = Recorder::new();
+        rec.add("a", 1);
+        rec.event_and_add_many(
+            "run.end",
+            [("k", Value::u(7))],
+            vec![("a".into(), 2), ("b".into(), 3)],
+        );
+        let events = rec.drain_events();
+        let shape: Vec<(String, Option<u64>)> = events
+            .iter()
+            .map(|e| (e.name.to_string(), e.value()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                ("a", Some(1)),
+                ("run.end", None),
+                ("a", Some(3)),
+                ("b", Some(3))
+            ]
+            .map(|(n, v)| (n.to_string(), v))
+        );
+        assert_eq!(events[1].fields, vec![("k", Value::u(7))]);
+        assert!(events.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        assert_eq!(events[1].ts_ns, events[3].ts_ns);
+    }
+
+    #[test]
     fn sampling_runs_on_across_calls() {
         let rec = Recorder::new();
         let picks: Vec<bool> = (0..7).map(|_| rec.sample(3)).collect();
@@ -1238,13 +1307,13 @@ mod tests {
 
     #[test]
     fn names_compare_by_content() {
-        let shared = Name::Shared("search.fused.dispatched.CTP".into());
+        let literal = Name::from("search.fused.dispatched.CTP");
         let owned = Name::from(format!("search.fused.dispatched.{}", "CTP"));
-        assert_eq!(shared, owned);
-        assert_eq!(shared, "search.fused.dispatched.CTP");
+        assert_eq!(literal, owned);
+        assert_eq!(owned, "search.fused.dispatched.CTP");
         assert_eq!(Name::from("x"), Name::from("x".to_string()));
-        assert_eq!(shared.to_string(), "search.fused.dispatched.CTP");
-        assert_eq!(Value::str(shared.clone()), Value::Str(owned));
+        assert_eq!(owned.to_string(), "search.fused.dispatched.CTP");
+        assert_eq!(Value::str(literal.clone()), Value::Str(owned));
     }
 
     #[test]
