@@ -4,8 +4,10 @@
 //! workload programs twice: once with the driver re-running the full
 //! `DepGraph::analyze` after every application (the seed behaviour), and
 //! once with the incremental `DepGraph::update` + resumed search. Reports
-//! per-workload wall-clock (minimum over `--repeats` runs), the geometric
-//! mean speedup over the multi-application workloads, and a cross-check
+//! per-workload wall-clock (minimum over `--repeats` repeats, each running
+//! both modes back-to-back in alternating order), the median of the
+//! per-repeat speedups, the CPU count, the geometric mean speedup over
+//! the multi-application workloads, and a cross-check
 //! pass (`verify_deps`) asserting the incrementally-maintained graph
 //! agrees with a fresh analysis after every application and that both
 //! modes produce the same final program.
@@ -135,26 +137,39 @@ fn run_sequence(
     Ok(total)
 }
 
-/// Minimum wall time over `repeats` runs, in nanoseconds.
-fn time_mode(
+/// Times the sequence in both dependence modes over `repeats` repeats.
+/// The two arms run back-to-back inside each repeat, alternating which
+/// goes first, so drift in the machine's speed hits both alike (as in
+/// [`measure_trace_overhead`]). Returns each arm's minimum wall time in
+/// nanoseconds and the median over repeats of the per-repeat
+/// full/incremental ratio.
+fn time_modes(
     base: &Program,
     opts: &[genesis::CompiledOptimizer],
-    incremental: bool,
     repeats: usize,
-    recorder: Option<&Arc<Recorder>>,
-) -> Result<u128, RunError> {
-    let mut best = u128::MAX;
-    for _ in 0..repeats {
+) -> Result<(u128, u128, f64), RunError> {
+    let time = |incremental: bool| -> Result<u128, RunError> {
         let started = Instant::now();
-        run_sequence(base, opts, incremental, false, recorder, 1)?;
-        best = best.min(started.elapsed().as_nanos());
-        // Keep the event buffer bounded across repeats; draining happens
-        // outside the timed region, like a real consumer streaming events.
-        if let Some(r) = recorder {
-            r.drain_events();
-        }
+        run_sequence(base, opts, incremental, false, None, 1)?;
+        Ok(started.elapsed().as_nanos())
+    };
+    let (mut full_min, mut incr_min) = (u128::MAX, u128::MAX);
+    let mut ratios = Vec::with_capacity(repeats);
+    for rep in 0..repeats {
+        let (full, incr) = if rep % 2 == 0 {
+            let full = time(false)?;
+            (full, time(true)?)
+        } else {
+            let incr = time(true)?;
+            (time(false)?, incr)
+        };
+        full_min = full_min.min(full);
+        incr_min = incr_min.min(incr);
+        ratios.push(full as f64 / incr.max(1) as f64);
     }
-    Ok(best)
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios.get(ratios.len() / 2).copied().unwrap_or(1.0);
+    Ok((full_min, incr_min, median))
 }
 
 struct Row {
@@ -167,7 +182,10 @@ struct Row {
     dep_edges_added: usize,
     full_ns: u128,
     incr_ns: u128,
+    /// Ratio of the two arms' minimum wall times.
     speedup: f64,
+    /// Median of the per-repeat full/incremental ratios.
+    median_speedup: f64,
     verified: bool,
 }
 
@@ -193,13 +211,15 @@ fn emit_json(
             .join(", ")
     ));
     out.push_str(&format!("  \"repeats\": {repeats},\n"));
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    out.push_str(&format!("  \"cpus\": {cpus},\n"));
     out.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"applications\": {}, \"incremental_updates\": {}, \
              \"full_recomputes\": {}, \"dep_dirty_syms\": {}, \"dep_edges_dropped\": {}, \
              \"dep_edges_added\": {}, \"full_ns\": {}, \"incremental_ns\": {}, \
-             \"speedup\": {:.3}, \"verified\": {}}}{}\n",
+             \"speedup\": {:.3}, \"median_speedup\": {:.3}, \"verified\": {}}}{}\n",
             json_escape(r.name),
             r.applications,
             r.incremental_updates,
@@ -210,6 +230,7 @@ fn emit_json(
             r.full_ns,
             r.incr_ns,
             r.speedup,
+            r.median_speedup,
             r.verified,
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -761,10 +782,8 @@ fn main() {
             incr.full_recomputes
         );
 
-        let full_ns = time_mode(base, &opts, false, repeats, None)
-            .unwrap_or_else(|e| panic!("{name}: timing full mode failed: {e}"));
-        let incr_ns = time_mode(base, &opts, true, repeats, None)
-            .unwrap_or_else(|e| panic!("{name}: timing incremental mode failed: {e}"));
+        let (full_ns, incr_ns, median_speedup) = time_modes(base, &opts, repeats)
+            .unwrap_or_else(|e| panic!("{name}: timing failed: {e}"));
         rows.push(Row {
             name,
             applications: incr.applications,
@@ -776,6 +795,7 @@ fn main() {
             full_ns,
             incr_ns,
             speedup: full_ns as f64 / incr_ns.max(1) as f64,
+            median_speedup,
             verified: true,
         });
     }
@@ -788,19 +808,20 @@ fn main() {
     };
 
     println!(
-        "{:<12} {:>5} {:>6} {:>5} {:>12} {:>12} {:>8}",
-        "workload", "apps", "incr", "full", "full (ns)", "incr (ns)", "speedup"
+        "{:<12} {:>5} {:>6} {:>5} {:>12} {:>12} {:>8} {:>8}",
+        "workload", "apps", "incr", "full", "full (ns)", "incr (ns)", "speedup", "median"
     );
     for r in &rows {
         println!(
-            "{:<12} {:>5} {:>6} {:>5} {:>12} {:>12} {:>7.2}x",
+            "{:<12} {:>5} {:>6} {:>5} {:>12} {:>12} {:>7.2}x {:>7.2}x",
             r.name,
             r.applications,
             r.incremental_updates,
             r.full_recomputes,
             r.full_ns,
             r.incr_ns,
-            r.speedup
+            r.speedup,
+            r.median_speedup
         );
     }
     println!(

@@ -421,6 +421,23 @@ fn explain_names_the_blocking_clause_per_candidate() {
     assert!(one.contains("1 anchor candidate(s)"), "{one}");
 }
 
+/// `--stmt` selects a loop-anchored optimizer's candidate by the loop's
+/// head statement, the point `apply --at` anchors it at.
+#[test]
+fn explain_stmt_selects_a_loop_anchor_by_its_head() {
+    let prog = tempfile_path::write(
+        "program p\ninteger i, x\nreal a(10)\ndo i = 2, 10\na(i) = x\nend do\nwrite x\nend\n",
+    );
+    let path = prog.0.to_str().unwrap();
+    let applied = run_ok(&["apply", path, "BMP", "--at", "s0"]);
+    assert!(applied.contains("1 application"), "{applied}");
+    let all = run_ok(&["explain", path, "--opt", "BMP"]);
+    assert!(all.contains("L0: FIRES"), "{all}");
+    let head = run_ok(&["explain", path, "--opt", "BMP", "--stmt", "s0"]);
+    assert!(head.contains("1 anchor candidate(s)"), "{head}");
+    assert!(head.contains("L0: FIRES"), "{head}");
+}
+
 #[test]
 fn explain_requires_a_known_optimizer() {
     let prog = write_prog();

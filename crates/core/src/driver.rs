@@ -9,12 +9,13 @@ use crate::cost::Cost;
 use crate::error::RunError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::rt::Bindings;
-use crate::solve::Searcher;
-use gospel_dep::{DepGraph, UpdateKind};
+use crate::solve::{SearchTally, Searcher};
+use gospel_dep::{DepGraph, DepUpdate, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
 use gospel_trace::{Name, Recorder, Span, Value};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -81,8 +82,6 @@ pub struct ApplyReport {
     pub cost: Cost,
     /// The bindings of each application, in order.
     pub points: Vec<Bindings>,
-    /// Which membership strategy each dependence-clause evaluation used.
-    pub strategies_used: Vec<Strategy>,
     /// Dependence-graph refreshes served by the incremental updater.
     pub incremental_updates: usize,
     /// Dependence-graph refreshes that ran a full `analyze` (structural
@@ -99,41 +98,6 @@ pub struct ApplyReport {
     /// (they could never pass the anchor clause's admission tests). Zero
     /// under the scan matcher.
     pub candidates_pruned: u64,
-    /// How many candidate bindings each PRECOND dependence clause killed,
-    /// indexed by clause position in the Depend section. A clause kills a
-    /// candidate when an `any` clause finds no solution or a `no` clause
-    /// finds one.
-    pub dep_clause_rejects: Vec<u64>,
-    /// How often each degradation-ladder rung fired during this run (each
-    /// fall is also emitted as a `search.degraded.<reason>` counter).
-    pub degraded: DegradeStats,
-}
-
-/// Per-rung degradation-ladder fall counts for one `apply` run.
-///
-/// The ladder replaces hard aborts with progressively cheaper-to-trust
-/// strategies: fused candidate enumeration falls back to the
-/// authoritative scan (`stale_order`), a failed incremental dependence
-/// update falls back to a full re-analysis (`dep_update_failed`), and a
-/// verifier-caught graph divergence is healed by adopting the fresh
-/// analysis and reclassifying the automaton (`dep_divergence`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DegradeStats {
-    /// Fused candidate enumeration met a posting member with unknown
-    /// program order and fell back to the scan path.
-    pub stale_order: u64,
-    /// The verifier caught the maintained graph diverging; the run
-    /// adopted the fresh analysis and reclassified the automaton.
-    pub dep_divergence: u64,
-    /// `DepGraph::update` failed; the run fell back to a full analysis.
-    pub dep_update_failed: u64,
-}
-
-impl DegradeStats {
-    /// Total falls across all rungs.
-    pub fn total(&self) -> u64 {
-        self.stale_order + self.dep_divergence + self.dep_update_failed
-    }
 }
 
 /// All application points found by [`Driver::matches`], without applying.
@@ -267,7 +231,7 @@ impl<'o> Driver<'o> {
         let bindings = s.find_all(usize::MAX)?;
         Ok(MatchSet {
             bindings,
-            cost: s.cost,
+            cost: s.tally.cost,
             strategies_used: s.strategies_used,
         })
     }
@@ -329,9 +293,9 @@ impl<'o> Driver<'o> {
         mode: ApplyMode,
         caches: &mut SessionCaches,
     ) -> Result<ApplyReport, RunError> {
-        let mut report = ApplyReport::default();
         let rec = self.recorder.clone();
-        let mut totals = RunTotals::new(rec.clone(), self.opt);
+        let mut totals = RunTotals::default();
+        totals.recorder = rec.clone().map(|r| (r, self.opt));
         let started = Instant::now();
         if self.fault_fires(FaultKind::Analysis, 0) {
             return Err(RunError::Analyze("injected fault: analysis failure".into()));
@@ -341,7 +305,7 @@ impl<'o> Driver<'o> {
             None => {
                 let t = Instant::now();
                 let g = analyze(prog)?;
-                totals.analyze_full += 1;
+                totals.analyze_initial += 1;
                 if let Some(r) = rec.as_ref() {
                     r.observe("dep.analyze_ns", ns_since(t));
                 }
@@ -379,28 +343,27 @@ impl<'o> Driver<'o> {
             None
         };
         if let Some(a) = auto.as_mut() {
-            let (states, visits) = a.take_stats();
-            totals.fused_states += states;
-            totals.fused_visits += visits;
+            totals.automaton_stats(a);
         }
 
         loop {
+            let applications = totals.points.len();
             if let Some(ms) = self.timeout_ms {
                 if started.elapsed().as_millis() as u64 > ms {
                     return Err(RunError::Timeout { ms });
                 }
             }
-            if self.fault_fires(FaultKind::Timeout, report.applications) {
+            if self.fault_fires(FaultKind::Timeout, applications) {
                 return Err(RunError::Timeout {
                     ms: self.timeout_ms.unwrap_or(0),
                 });
             }
-            if self.fault_fires(FaultKind::Fuel, report.applications) {
+            if self.fault_fires(FaultKind::Fuel, applications) {
                 return Err(RunError::FuelExhausted {
                     limit: self.fuel.unwrap_or(0),
                 });
             }
-            if self.fault_fires(FaultKind::Panic, report.applications) {
+            if self.fault_fires(FaultKind::Panic, applications) {
                 panic!("injected fault: panic mid-search");
             }
 
@@ -422,43 +385,36 @@ impl<'o> Driver<'o> {
                     "driver.attempt",
                     [
                         ("optimizer", Value::str(TraceNames::of(self.opt).opt)),
-                        ("application", Value::us(report.applications)),
+                        ("application", Value::us(applications)),
                     ],
                 ),
                 None => Span::none(),
             };
 
             let search_started = Instant::now();
-            let mut pattern_ns = 0u64;
+            let pattern_ns_before = totals.search.pattern_ns;
             let found = {
-                let mut s = Searcher::new(prog, &deps, self.opt);
-                match mode {
-                    ApplyMode::AtPoint(p) => s.at_point = Some(p),
-                    ApplyMode::AtPointUnchecked(p) => {
-                        s.at_point = Some(p);
-                        s.ignore_depends = true;
+                // One search pass over the anchors the two filters admit,
+                // its tally added to the run ledger.
+                let mut pass = |resume_from, stop_before| {
+                    let mut s = Searcher::new(prog, &deps, self.opt);
+                    match mode {
+                        ApplyMode::AtPoint(p) => s.at_point = Some(p),
+                        ApplyMode::AtPointUnchecked(p) => {
+                            s.at_point = Some(p);
+                            s.ignore_depends = true;
+                        }
+                        _ => {}
                     }
-                    _ => {}
-                }
-                s.resume_from = resume_pt;
-                s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
-                s.time_pattern = attempt_rec.is_some();
-                let mut found = s.find_first()?;
-                report.cost += s.cost;
-                totals.cost += s.cost;
-                report.candidates_pruned += s.candidates_pruned;
-                totals.candidates_pruned += s.candidates_pruned;
-                totals.fused_dispatched += s.fused_dispatched;
-                report.degraded.stale_order += s.degraded_stale_order;
-                totals.degraded_stale_order += s.degraded_stale_order;
-                report.strategies_used.append(&mut s.strategies_used);
-                merge_rejects(&mut report.dep_clause_rejects, &s.dep_rejects);
-                merge_rejects(&mut totals.rejects, &s.dep_rejects);
-                totals.funnel_classified += s.funnel_classified;
-                totals.funnel_admitted += s.funnel_admitted;
-                totals.funnel_matched += s.funnel_matched;
-                totals.funnel_dep_checked += s.funnel_dep_checked;
-                pattern_ns += s.pattern_ns;
+                    s.resume_from = resume_from;
+                    s.stop_before = stop_before;
+                    s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
+                    s.time_pattern = sampled;
+                    let found = s.find_first()?;
+                    totals.search.add(&s.tally);
+                    Ok::<_, RunError>(found)
+                };
+                let found = pass(resume_pt, None)?;
                 if found.is_none() && resume_pt.is_some() {
                     // Safety net: the frontier filter only rescans anchors
                     // at or after the dirty frontier, but a pattern with
@@ -466,29 +422,12 @@ impl<'o> Driver<'o> {
                     // an earlier anchor. Before declaring a fixpoint,
                     // sweep the complement — the two passes together
                     // cover every anchor exactly once.
-                    let mut s = Searcher::new(prog, &deps, self.opt);
-                    s.stop_before = resume_pt;
-                    s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
-                    s.time_pattern = attempt_rec.is_some();
-                    found = s.find_first()?;
-                    report.cost += s.cost;
-                    totals.cost += s.cost;
-                    report.candidates_pruned += s.candidates_pruned;
-                    totals.candidates_pruned += s.candidates_pruned;
-                    totals.fused_dispatched += s.fused_dispatched;
-                    report.degraded.stale_order += s.degraded_stale_order;
-                    totals.degraded_stale_order += s.degraded_stale_order;
-                    report.strategies_used.append(&mut s.strategies_used);
-                    merge_rejects(&mut report.dep_clause_rejects, &s.dep_rejects);
-                    merge_rejects(&mut totals.rejects, &s.dep_rejects);
-                    totals.funnel_classified += s.funnel_classified;
-                    totals.funnel_admitted += s.funnel_admitted;
-                    totals.funnel_matched += s.funnel_matched;
-                    totals.funnel_dep_checked += s.funnel_dep_checked;
-                    pattern_ns += s.pattern_ns;
+                    pass(None, resume_pt)?
+                } else {
+                    found
                 }
-                found
             };
+            let pattern_ns = totals.search.pattern_ns - pattern_ns_before;
             // `search.match` is emitted only for successful matches — a
             // failed search is already explicit in the attempt span's
             // `fixpoint` close, and the extra event would double the
@@ -516,7 +455,7 @@ impl<'o> Driver<'o> {
                 }
             }
             if let Some(fuel) = self.fuel {
-                if report.cost.total() > fuel {
+                if totals.search.cost.total() > fuel {
                     return Err(RunError::FuelExhausted { limit: fuel });
                 }
             }
@@ -538,7 +477,7 @@ impl<'o> Driver<'o> {
                 break;
             };
 
-            if self.fault_fires(FaultKind::Action, report.applications) {
+            if self.fault_fires(FaultKind::Action, applications) {
                 return Err(RunError::Action("injected fault: action failure".into()));
             }
 
@@ -551,8 +490,7 @@ impl<'o> Driver<'o> {
             // half-transformed program.
             let actions_started = Instant::now();
             let mut delta = EditDelta::new();
-            let panic_after_actions =
-                self.fault_fires(FaultKind::PanicInAction, report.applications);
+            let panic_after_actions = self.fault_fires(FaultKind::PanicInAction, applications);
             debug_assert!(
                 env.is_over(&self.opt.names),
                 "bindings from another optimizer"
@@ -564,34 +502,29 @@ impl<'o> Driver<'o> {
                 }
                 r
             }));
+            // A failed application is unwound, counted and recorded
+            // before its error or panic propagates.
+            let mut rollback = |delta: EditDelta, prog: &mut Program, error: &dyn Display| {
+                delta.undo(prog);
+                totals.action_rollbacks += 1;
+                if let Some(r) = rec.as_ref() {
+                    r.event(
+                        "driver.action_rollback",
+                        &[
+                            ("optimizer", Value::str(self.opt.name.clone())),
+                            ("error", Value::str(error.to_string())),
+                        ],
+                    );
+                }
+            };
             let ops = match attempt {
                 Ok(Ok(ops)) => ops,
                 Ok(Err(e)) => {
-                    delta.undo(prog);
-                    totals.action_rollbacks += 1;
-                    if let Some(r) = rec.as_ref() {
-                        r.event(
-                            "driver.action_rollback",
-                            &[
-                                ("optimizer", Value::str(self.opt.name.clone())),
-                                ("error", Value::str(e.to_string())),
-                            ],
-                        );
-                    }
+                    rollback(delta, prog, &e);
                     return Err(e);
                 }
                 Err(payload) => {
-                    delta.undo(prog);
-                    totals.action_rollbacks += 1;
-                    if let Some(r) = rec.as_ref() {
-                        r.event(
-                            "driver.action_rollback",
-                            &[
-                                ("optimizer", Value::str(self.opt.name.clone())),
-                                ("error", Value::str("panic")),
-                            ],
-                        );
-                    }
+                    rollback(delta, prog, &"panic");
                     drop(attempt_span);
                     resume_unwind(payload);
                 }
@@ -599,17 +532,15 @@ impl<'o> Driver<'o> {
             if let Some(r) = attempt_rec {
                 r.observe_n("driver.actions_ns", ns_since(actions_started), sample);
             }
-            let corrupted = self.fault_fires(FaultKind::CorruptCommit, report.applications);
+            let corrupted = self.fault_fires(FaultKind::CorruptCommit, applications);
             if corrupted {
                 // An unmatched marker makes the commit structurally
                 // invalid — exactly what a validation gate must catch.
                 prog.push(Quad::marker(Opcode::EndDo));
             }
-            report.cost.transform_ops += ops;
-            report.applications += 1;
-            report.points.push(env);
-            totals.applications += 1;
-            totals.transform_ops += ops;
+            totals.search.cost.transform_ops += ops;
+            totals.points.push(env);
+            let applications = totals.points.len();
             if sampled {
                 // Room for `sample` and the close's `elapsed_ns`.
                 let mut fields = Vec::with_capacity(7);
@@ -632,7 +563,7 @@ impl<'o> Driver<'o> {
                 // unjournaled edit broke every cache's delta-replay
                 // argument, so none of them may survive.
                 caches.clear();
-                return Ok(report);
+                return Ok(totals.report());
             }
 
             if let Some(cap) = self.max_stmts {
@@ -650,9 +581,7 @@ impl<'o> Driver<'o> {
                 if let Some(a) = auto.as_mut() {
                     let update_started = attempt_rec.map(|r| (r, Instant::now()));
                     a.update(prog, &delta);
-                    let (states, visits) = a.take_stats();
-                    totals.fused_states += states;
-                    totals.fused_visits += visits;
+                    totals.automaton_stats(a);
                     if let Some((r, t)) = update_started {
                         r.observe_n("automaton.update_ns", ns_since(t), sample);
                     }
@@ -660,11 +589,22 @@ impl<'o> Driver<'o> {
             }
 
             let one_shot = !matches!(mode, ApplyMode::AllPoints);
-            if !one_shot && report.applications >= self.max_applications {
+            if !one_shot && applications >= self.max_applications {
                 return Err(RunError::Diverged {
                     limit: self.max_applications,
                 });
             }
+            // A full re-analysis in place of a refresh: the ledger counts
+            // it and the next search scans from the top.
+            let reanalyze = |totals: &mut RunTotals| {
+                let t = Instant::now();
+                let g = analyze(prog)?;
+                totals.reanalyses += 1;
+                if let Some(r) = attempt_rec {
+                    r.observe_n("dep.analyze_ns", ns_since(t), sample);
+                }
+                Ok::<_, RunError>(g)
+            };
             if !self.recompute_deps {
                 // Stale-graph mode: positions in the old graph no longer
                 // track the program, so never filter the next search.
@@ -681,8 +621,8 @@ impl<'o> Driver<'o> {
                     // verifier (or a later healing full analysis) can
                     // restore exactness, so the graph is unpublishable
                     // until one of them runs.
-                    let skip_update = self
-                        .fault_fires(FaultKind::CorruptDeps, report.applications.saturating_sub(1));
+                    let skip_update =
+                        self.fault_fires(FaultKind::CorruptDeps, applications.saturating_sub(1));
                     if skip_update {
                         current = false;
                         resume_pt = None;
@@ -690,39 +630,15 @@ impl<'o> Driver<'o> {
                         let update_started = Instant::now();
                         match deps.update(prog, &delta) {
                             Ok(up) => {
-                                match up.kind {
-                                    UpdateKind::Full => report.full_recomputes += 1,
-                                    UpdateKind::Incremental
-                                    | UpdateKind::Structural
-                                    | UpdateKind::Noop => {
-                                        report.incremental_updates += 1;
-                                    }
-                                }
-                                report.dep_dirty_syms += up.stats.dirty_syms;
-                                report.dep_edges_dropped += up.stats.edges_dropped;
-                                report.dep_edges_added += up.stats.edges_added;
-                                match up.kind {
-                                    UpdateKind::Full => totals.update_full += 1,
-                                    UpdateKind::Incremental => totals.update_incremental += 1,
-                                    UpdateKind::Structural => totals.update_structural += 1,
-                                    UpdateKind::Noop => totals.update_noop += 1,
-                                }
-                                totals.edges_dropped += up.stats.edges_dropped as u64;
-                                totals.edges_added += up.stats.edges_added as u64;
+                                totals.dep_update(&up);
                                 if let Some(r) = attempt_rec {
                                     r.observe_n("dep.update_ns", ns_since(update_started), sample);
-                                    let kind = match up.kind {
-                                        UpdateKind::Full => "full",
-                                        UpdateKind::Incremental => "incremental",
-                                        UpdateKind::Structural => "structural",
-                                        UpdateKind::Noop => "noop",
-                                    };
                                     // Sized for every field up front; the
                                     // frontier is its statement index, so
                                     // nothing is formatted.
                                     let mut fields = Vec::with_capacity(5);
                                     fields.extend([
-                                        ("kind", Value::str(kind)),
+                                        ("kind", Value::str(update_kind_name(up.kind))),
                                         ("dirty_syms", Value::us(up.stats.dirty_syms)),
                                         ("edges_dropped", Value::us(up.stats.edges_dropped)),
                                         ("edges_added", Value::us(up.stats.edges_added)),
@@ -738,7 +654,6 @@ impl<'o> Driver<'o> {
                                 // Ladder: a failed incremental update falls
                                 // back to a full analysis instead of
                                 // aborting the run.
-                                report.degraded.dep_update_failed += 1;
                                 totals.degraded_update_failed += 1;
                                 if let Some(r) = rec.as_ref() {
                                     r.event(
@@ -750,13 +665,7 @@ impl<'o> Driver<'o> {
                                         ],
                                     );
                                 }
-                                let t = Instant::now();
-                                deps = analyze(prog)?;
-                                report.full_recomputes += 1;
-                                totals.analyze_full += 1;
-                                if let Some(r) = attempt_rec {
-                                    r.observe_n("dep.analyze_ns", ns_since(t), sample);
-                                }
+                                deps = reanalyze(&mut totals)?;
                                 resume_pt = None;
                                 current = true;
                             }
@@ -777,7 +686,6 @@ impl<'o> Driver<'o> {
                             // Ladder: adopt the fresh graph and rebuild
                             // the automaton, whose delta-replay argument
                             // the divergence just voided.
-                            report.degraded.dep_divergence += 1;
                             totals.degraded_divergence += 1;
                             if let Some(r) = rec.as_ref() {
                                 r.event(
@@ -785,7 +693,7 @@ impl<'o> Driver<'o> {
                                     &[
                                         ("optimizer", Value::str(self.opt.name.clone())),
                                         ("reason", Value::str("dep_divergence")),
-                                        ("application", Value::us(report.applications)),
+                                        ("application", Value::us(applications)),
                                     ],
                                 );
                             }
@@ -794,15 +702,13 @@ impl<'o> Driver<'o> {
                             current = true;
                             if let Some(a) = auto.as_mut() {
                                 a.reclassify(prog);
-                                let (states, visits) = a.take_stats();
-                                totals.fused_states += states;
-                                totals.fused_visits += visits;
+                                totals.automaton_stats(a);
                             }
                         } else {
                             return Err(RunError::Analyze(format!(
                                 "incremental dependence graph diverged from full \
                                  analysis after application {} of {}: {}",
-                                report.applications,
+                                applications,
                                 self.opt.name,
                                 first_divergence(&deps, &fresh, prog)
                             )));
@@ -813,13 +719,7 @@ impl<'o> Driver<'o> {
                     // never be searched again; skip the wasted analysis.
                     current = false;
                 } else {
-                    let t = Instant::now();
-                    deps = analyze(prog)?;
-                    report.full_recomputes += 1;
-                    totals.analyze_full += 1;
-                    if let Some(r) = attempt_rec {
-                        r.observe_n("dep.analyze_ns", ns_since(t), sample);
-                    }
+                    deps = reanalyze(&mut totals)?;
                     resume_pt = None;
                 }
             }
@@ -835,7 +735,7 @@ impl<'o> Driver<'o> {
         // argument), so it is exact for the final program even when the
         // dependence graph is not.
         caches.automaton = auto.take();
-        Ok(report)
+        Ok(totals.report())
     }
 }
 
@@ -884,12 +784,13 @@ fn ns_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn merge_rejects(into: &mut Vec<u64>, from: &[u64]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (acc, n) in into.iter_mut().zip(from) {
-        *acc += n;
+/// The `kind` field of a `dep.update` event.
+fn update_kind_name(kind: UpdateKind) -> &'static str {
+    match kind {
+        UpdateKind::Full => "full",
+        UpdateKind::Incremental => "incremental",
+        UpdateKind::Structural => "structural",
+        UpdateKind::Noop => "noop",
     }
 }
 
@@ -983,84 +884,92 @@ fn intern(s: String) -> &'static str {
     name
 }
 
-/// Counters accumulated locally across one `apply` run and flushed to
-/// the recorder in a single batch when the run ends — on *every* exit
-/// path, including `?` returns and panics, because the flush lives in
-/// `Drop`. Keeping the hot loop out of the recorder lock bounds tracing
-/// overhead to the spans and structured events that genuinely need
-/// per-attempt timestamps.
+/// The run ledger: every count one `apply` run makes, each recorded
+/// once. The [`ApplyReport`] is built from it when the run succeeds, and
+/// it is flushed to the recorder in a single batch when the run ends —
+/// on *every* exit path, including `?` returns and panics, because the
+/// flush lives in `Drop`. Keeping the hot loop out of the recorder lock
+/// bounds tracing overhead to the spans and structured events that
+/// genuinely need per-attempt timestamps.
+#[derive(Default)]
 struct RunTotals<'o> {
-    rec: Option<Arc<Recorder>>,
-    opt: &'o CompiledOptimizer,
+    /// Where the flush goes; `None` once flushed, or for an untraced run.
+    recorder: Option<(Arc<Recorder>, &'o CompiledOptimizer)>,
+    /// Every search pass's tally, summed. Its `cost.transform_ops` also
+    /// counts the actions' primitives, making `cost` the paper's metric.
+    search: SearchTally,
+    /// The bindings of each application, in order; its length is the
+    /// application count.
+    points: Vec<Bindings>,
     attempts: u64,
-    applications: u64,
     action_rollbacks: u64,
-    transform_ops: u64,
-    analyze_full: u64,
+    /// The analysis a run without a carried graph starts from.
+    analyze_initial: u64,
+    /// Full analyses that replaced a refresh mid-run.
+    reanalyses: u64,
     update_full: u64,
     update_incremental: u64,
     update_structural: u64,
     update_noop: u64,
+    dirty_syms: u64,
     edges_dropped: u64,
     edges_added: u64,
-    candidates_pruned: u64,
     fused_states: u64,
     fused_visits: u64,
-    fused_dispatched: u64,
-    degraded_stale_order: u64,
     degraded_divergence: u64,
     degraded_update_failed: u64,
-    /// Match-funnel totals (see `Searcher::funnel_classified` and
-    /// friends), flushed as `funnel.<OPT>.<phase>` counters plus one
-    /// `search.funnel` event per run. `applied` and `rolled_back` reuse
-    /// `applications` / `action_rollbacks`.
-    funnel_classified: u64,
-    funnel_admitted: u64,
-    funnel_matched: u64,
-    funnel_dep_checked: u64,
-    cost: Cost,
-    /// Per-dependence-clause rejection counts (clause counters are
-    /// emitted as `search.dep_reject.<OPT>.clause<i>`).
-    rejects: Vec<u64>,
 }
 
-impl<'o> RunTotals<'o> {
-    fn new(rec: Option<Arc<Recorder>>, opt: &'o CompiledOptimizer) -> RunTotals<'o> {
-        RunTotals {
-            rec,
-            opt,
-            attempts: 0,
-            applications: 0,
-            action_rollbacks: 0,
-            transform_ops: 0,
-            analyze_full: 0,
-            update_full: 0,
-            update_incremental: 0,
-            update_structural: 0,
-            update_noop: 0,
-            edges_dropped: 0,
-            edges_added: 0,
-            candidates_pruned: 0,
-            fused_states: 0,
-            fused_visits: 0,
-            fused_dispatched: 0,
-            degraded_stale_order: 0,
-            degraded_divergence: 0,
-            degraded_update_failed: 0,
-            funnel_classified: 0,
-            funnel_admitted: 0,
-            funnel_matched: 0,
-            funnel_dep_checked: 0,
-            cost: Cost::default(),
-            rejects: Vec::new(),
+impl RunTotals<'_> {
+    /// Counts one incremental dependence refresh.
+    fn dep_update(&mut self, up: &DepUpdate) {
+        *match up.kind {
+            UpdateKind::Full => &mut self.update_full,
+            UpdateKind::Incremental => &mut self.update_incremental,
+            UpdateKind::Structural => &mut self.update_structural,
+            UpdateKind::Noop => &mut self.update_noop,
+        } += 1;
+        self.dirty_syms += up.stats.dirty_syms as u64;
+        self.edges_dropped += up.stats.edges_dropped as u64;
+        self.edges_added += up.stats.edges_added as u64;
+    }
+
+    /// Takes the automaton's work counts since it was last asked.
+    fn automaton_stats(&mut self, auto: &mut FusedAutomaton) {
+        let (states, visits) = auto.take_stats();
+        self.fused_states += states;
+        self.fused_visits += visits;
+    }
+
+    /// Flushes the ledger and turns it into the run's report. The
+    /// initial analysis is not a recompute: `full_recomputes` counts
+    /// only the refreshes that ran a full analysis.
+    fn report(mut self) -> ApplyReport {
+        self.flush();
+        ApplyReport {
+            applications: self.points.len(),
+            cost: self.search.cost,
+            points: std::mem::take(&mut self.points),
+            incremental_updates: (self.update_incremental
+                + self.update_structural
+                + self.update_noop) as usize,
+            full_recomputes: (self.update_full + self.reanalyses) as usize,
+            dep_dirty_syms: self.dirty_syms as usize,
+            dep_edges_dropped: self.edges_dropped as usize,
+            dep_edges_added: self.edges_added as usize,
+            candidates_pruned: self.search.candidates_pruned,
         }
     }
-}
 
-impl Drop for RunTotals<'_> {
-    fn drop(&mut self) {
-        let Some(rec) = self.rec.take() else { return };
-        let names = TraceNames::of(self.opt);
+    /// Records the ledger's counters (zero counts skipped) and the run's
+    /// funnel event, once.
+    fn flush(&mut self) {
+        let Some((rec, opt)) = self.recorder.take() else {
+            return;
+        };
+        let names = TraceNames::of(opt);
+        let search = &self.search;
+        let applications = self.points.len() as u64;
         // Streamed into the recorder under one lock, in a fixed order,
         // after the funnel event; zero counts are skipped. The pairs are
         // gathered into one buffer first, which the recorder copies into
@@ -1069,24 +978,24 @@ impl Drop for RunTotals<'_> {
         // lock).
         let fixed = [
             ("driver.attempts", self.attempts),
-            ("driver.applications", self.applications),
+            ("driver.applications", applications),
             ("driver.action_rollbacks", self.action_rollbacks),
-            ("cost.pattern_checks", self.cost.pattern_checks),
-            ("cost.dep_checks", self.cost.dep_checks),
-            ("cost.anchor_visits", self.cost.anchor_visits),
-            ("cost.transform_ops", self.transform_ops),
-            ("dep.analyze.full", self.analyze_full),
+            ("cost.pattern_checks", search.cost.pattern_checks),
+            ("cost.dep_checks", search.cost.dep_checks),
+            ("cost.anchor_visits", search.cost.anchor_visits),
+            ("cost.transform_ops", search.cost.transform_ops),
+            ("dep.analyze.full", self.analyze_initial + self.reanalyses),
             ("dep.update.full", self.update_full),
             ("dep.update.incremental", self.update_incremental),
             ("dep.update.structural", self.update_structural),
             ("dep.update.noop", self.update_noop),
             ("dep.update.edges_dropped", self.edges_dropped),
             ("dep.update.edges_added", self.edges_added),
-            ("search.dep_reject", self.rejects.iter().sum()),
-            ("search.candidates_pruned", self.candidates_pruned),
+            ("search.dep_reject", search.dep_rejects.iter().sum()),
+            ("search.candidates_pruned", search.candidates_pruned),
             ("search.fused.states", self.fused_states),
             ("search.fused.visits", self.fused_visits),
-            ("search.degraded.stale_order", self.degraded_stale_order),
+            ("search.degraded.stale_order", search.degraded_stale_order),
             ("search.degraded.dep_divergence", self.degraded_divergence),
             (
                 "search.degraded.dep_update_failed",
@@ -1094,14 +1003,14 @@ impl Drop for RunTotals<'_> {
             ),
         ];
         let mut items: Vec<(Name, u64)> =
-            Vec::with_capacity(names.funnel.len() + fixed.len() + 1 + self.rejects.len());
-        if self.funnel_classified > 0 {
+            Vec::with_capacity(names.funnel.len() + fixed.len() + 1 + search.dep_rejects.len());
+        if search.funnel_classified > 0 {
             let funnel_counts = [
-                self.funnel_classified,
-                self.funnel_admitted,
-                self.funnel_matched,
-                self.funnel_dep_checked,
-                self.applications,
+                search.funnel_classified,
+                search.funnel_admitted,
+                search.funnel_matched,
+                search.funnel_dep_checked,
+                applications,
                 self.action_rollbacks,
             ];
             for (name, n) in names.funnel.into_iter().zip(funnel_counts) {
@@ -1115,15 +1024,18 @@ impl Drop for RunTotals<'_> {
                 items.push((Name::Static(name), n));
             }
         }
-        if self.fused_dispatched > 0 {
-            items.push((Name::Static(names.fused_dispatched), self.fused_dispatched));
+        if search.fused_dispatched > 0 {
+            items.push((
+                Name::Static(names.fused_dispatched),
+                search.fused_dispatched,
+            ));
         }
-        for (i, &n) in self.rejects.iter().enumerate() {
+        for (i, &n) in search.dep_rejects.iter().enumerate() {
             if n > 0 {
                 items.push((Name::Static(names.dep_reject(i)), n));
             }
         }
-        if self.funnel_classified > 0 {
+        if search.funnel_classified > 0 {
             // One structured funnel event per run: the whole
             // classified → admitted → matched → dep-checked →
             // applied/rolled-back pipeline in a single record, so the
@@ -1132,17 +1044,23 @@ impl Drop for RunTotals<'_> {
             // metric consumers.
             let funnel = [
                 ("optimizer", Value::str(names.opt)),
-                ("classified", Value::u(self.funnel_classified)),
-                ("admitted", Value::u(self.funnel_admitted)),
-                ("matched", Value::u(self.funnel_matched)),
-                ("dep_checked", Value::u(self.funnel_dep_checked)),
-                ("applied", Value::u(self.applications)),
+                ("classified", Value::u(search.funnel_classified)),
+                ("admitted", Value::u(search.funnel_admitted)),
+                ("matched", Value::u(search.funnel_matched)),
+                ("dep_checked", Value::u(search.funnel_dep_checked)),
+                ("applied", Value::u(applications)),
                 ("rolled_back", Value::u(self.action_rollbacks)),
             ];
             rec.event_and_add_many("search.funnel", funnel, items);
         } else {
             rec.add_many(items);
         }
+    }
+}
+
+impl Drop for RunTotals<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 

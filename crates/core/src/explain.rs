@@ -3,46 +3,39 @@
 //! Where the match funnel ([`crate::Driver`]'s `funnel.*` counters) says
 //! how many candidates died at each stage, this module says **which**
 //! stage killed **this** candidate and names the exact discriminator.
-//! For every anchor candidate of one optimizer it walks the same three
-//! gates the searcher walks, in the same order, and stops at the first
-//! one that fails:
+//! It runs the searcher itself over the scan enumeration of anchor
+//! candidates, collecting every binding, with a verdict sink that
+//! records for each candidate the deepest clause any of its bindings
+//! entered. A candidate none of whose bindings completes is blocked
+//! there:
 //!
-//! 1. **admission** — the fused automaton's trie path is replayed via
+//! 1. **admission** — when the anchor format failed, the fused
+//!    automaton's trie path is replayed via
 //!    [`FusedAutomaton::explain_admission`], reporting either the root
 //!    opcode-bucket miss or the first failing discriminator edge;
-//! 2. **anchor format** — the clause's top-level conjuncts are evaluated
-//!    one by one and the first false conjunct is named in GOSpeL
-//!    concrete syntax;
-//! 3. **the rest of the precondition** — the surviving binding
-//!    environments are pushed clause-by-clause through the remaining
-//!    pattern clauses and the Depend section (reusing the searcher's own
-//!    [`solve_clause`] machinery), and the first clause that kills every
-//!    environment is reported.
+//! 2. **anchor format** — otherwise the clause's top-level conjuncts
+//!    are re-evaluated one by one and the first false conjunct is named
+//!    in GOSpeL concrete syntax;
+//! 3. **the rest of the precondition** — the deepest pattern or Depend
+//!    clause any binding entered is the first clause that kills every
+//!    binding reaching it, reported with the witness the last killed
+//!    binding met when it is a `no` clause.
 //!
-//! The walk is breadth-first over environments (capped at
-//! [`ENV_CAP`] to bound pathological specs — the report says so when the
-//! cap bites), so unlike the searcher it does not stop at the first
-//! witness: it exists to attribute failure, not to find bindings fast.
-//!
-//! [`solve_clause`]: crate::solve::Searcher::solve_clause
+//! The searcher visits bindings depth-first, in the order a clause-by-
+//! clause walk over binding environments would list them, so the last
+//! witness it meets is that walk's last environment's.
 
 use crate::automaton::{AdmissionVerdict, FusedAutomaton};
 use crate::compile::CompiledOptimizer;
 use crate::error::RunError;
 use crate::resolve::Cond;
 use crate::rt::{Bindings, RtVal};
-use crate::solve::{cand_elems, eval_format, Cand, Elem, Rows, Searcher};
+use crate::solve::{cand_elems, eval_format, Cand, Elem, Searcher, VerdictSink};
 use gospel_dep::DepGraph;
-use gospel_ir::{LoopId, LoopTable, Program, StmtId};
-use gospel_lang::ast::{BoolExpr, ElemType, PatternClause, Quant};
+use gospel_ir::{LoopTable, Program, StmtId};
+use gospel_lang::ast::{BoolExpr, Quant};
 use gospel_lang::{pretty_bool, pretty_depend_clause, pretty_pattern_clause};
 use std::fmt;
-
-/// Environment-frontier cap: clause-by-clause survival tracking keeps at
-/// most this many binding environments alive. The catalog's optimizers
-/// stay in single digits; the cap only guards degenerate specifications,
-/// and [`ExplainReport::truncated`] records when it bit.
-pub const ENV_CAP: usize = 512;
 
 /// The first gate that killed one anchor candidate, with the exact
 /// discriminator that failed.
@@ -178,9 +171,8 @@ pub struct ExplainReport {
     pub optimizer: String,
     /// Whether the fused automaton narrows this optimizer's anchor.
     pub fused: bool,
-    /// True when [`ENV_CAP`] truncated an environment frontier — blocker
-    /// attribution past the truncation point may name a later clause
-    /// than the searcher would.
+    /// Always false: the walk is the search itself and never truncates.
+    /// Kept for readers of earlier reports.
     pub truncated: bool,
     /// One verdict per anchor candidate, in program order.
     pub candidates: Vec<CandidateExplanation>,
@@ -209,13 +201,6 @@ impl ExplainReport {
             self.fired(),
             if self.fused { " [fused anchor]" } else { "" }
         );
-        if self.truncated {
-            let _ = writeln!(
-                s,
-                "  note: environment frontier truncated at {ENV_CAP}; \
-                 attribution past that point is approximate"
-            );
-        }
         for c in &self.candidates {
             match &c.blocker {
                 None => {
@@ -230,21 +215,6 @@ impl ExplainReport {
     }
 }
 
-/// Anchor-shaped candidate tuples for one element type — the explain
-/// engine's (unfiltered) counterpart of the searcher's candidate
-/// enumeration. Fills `out`.
-fn element_candidates(prog: &Program, loops: &LoopTable, ty: ElemType, out: &mut Vec<Cand>) {
-    out.clear();
-    let pair = |(a, b): (LoopId, LoopId)| (Elem::Loop(a), Some(Elem::Loop(b)));
-    match ty {
-        ElemType::Stmt => out.extend(prog.iter().map(|s| (Elem::Stmt(s), None))),
-        ElemType::Loop => out.extend(loops.iter().map(|l| (Elem::Loop(l.id), None))),
-        ElemType::NestedLoops => out.extend(loops.nested_pairs().into_iter().map(pair)),
-        ElemType::TightLoops => out.extend(loops.tight_pairs(prog).into_iter().map(pair)),
-        ElemType::AdjacentLoops => out.extend(loops.adjacent_pairs(prog).into_iter().map(pair)),
-    }
-}
-
 fn render_val(v: &RtVal) -> String {
     match v {
         RtVal::Stmt(s) => s.to_string(),
@@ -254,16 +224,13 @@ fn render_val(v: &RtVal) -> String {
 }
 
 fn render_candidate(prog: &Program, cand: &Cand) -> String {
-    let parts: Vec<String> = cand_elems(cand)
-        .map(|e| match e {
-            Elem::Stmt(s) => format!("{s} ({})", prog.quad(s).op.gospel_name()),
-            Elem::Loop(l) => l.to_string(),
-        })
-        .collect();
-    if parts.len() == 1 {
-        parts.into_iter().next().unwrap()
-    } else {
-        format!("({})", parts.join(", "))
+    let elem = |e: Elem| match e {
+        Elem::Stmt(s) => format!("{s} ({})", prog.quad(s).op.gospel_name()),
+        Elem::Loop(l) => l.to_string(),
+    };
+    match cand.1 {
+        None => elem(cand.0),
+        Some(b) => format!("({}, {})", elem(cand.0), elem(b)),
     }
 }
 
@@ -276,30 +243,29 @@ fn first_false_conjunct<'b>(
     env: &Bindings,
     ast: &'b BoolExpr,
     cond: &Cond,
-    checks: &mut u64,
 ) -> Result<Option<&'b BoolExpr>, RunError> {
     match (ast, cond) {
         (BoolExpr::And(al, ar), Cond::And(c)) => {
             let [cl, cr] = &**c;
-            match first_false_conjunct(prog, loops, env, al, cl, checks)? {
+            match first_false_conjunct(prog, loops, env, al, cl)? {
                 Some(f) => Ok(Some(f)),
-                None => first_false_conjunct(prog, loops, env, ar, cr, checks),
+                None => first_false_conjunct(prog, loops, env, ar, cr),
             }
         }
-        _ => Ok((!eval_format(prog, loops, env, cond, checks)?).then_some(ast)),
+        _ => Ok((!eval_format(prog, loops, env, cond, &mut 0)?).then_some(ast)),
     }
 }
 
-/// Walks every anchor candidate of `opt` through admission, format and
-/// the remaining precondition, and reports where each one stopped.
-/// `only_stmt` restricts the walk to candidates anchored at that
-/// statement (the CLI's `--stmt` flag).
+/// Runs `opt`'s search over every anchor candidate and reports where
+/// each one stopped. `only_stmt` restricts the search to candidates
+/// anchored at that statement (the CLI's `--stmt` flag), as the driver's
+/// [`crate::ApplyMode::AtPoint`] does: a loop anchor by its head.
 ///
 /// # Errors
 ///
 /// Propagates [`RunError`] from format or dependence evaluation — the
-/// same errors the searcher itself would raise (e.g. an `all` quantifier
-/// in `Code_Pattern`).
+/// same errors the searcher raises in a real run (e.g. an `all`
+/// quantifier in `Code_Pattern`).
 pub fn explain(
     prog: &Program,
     deps: &DepGraph,
@@ -307,8 +273,7 @@ pub fn explain(
     auto: &FusedAutomaton,
     only_stmt: Option<StmtId>,
 ) -> Result<ExplainReport, RunError> {
-    let loops = deps.loops();
-    let Some((anchor_clause, anchor_ty)) = opt.patterns.first() else {
+    let Some((anchor_clause, _)) = opt.patterns.first() else {
         return Err(RunError::Action(
             "optimizer has no pattern clause to explain".into(),
         ));
@@ -318,266 +283,191 @@ pub fn explain(
             "`explain` requires an `any` anchor clause".into(),
         ));
     }
-    let fused = auto.opt_id(&opt.name).is_some();
-    let mut report = ExplainReport {
-        optimizer: opt.name.clone(),
-        fused,
-        truncated: false,
-        candidates: Vec::new(),
-    };
-    let mut walk = Walk {
-        searcher: Searcher::new(prog, deps, opt),
-        envs: Rows::default(),
-        next: Rows::default(),
-        sols: Rows::default(),
-        cands: Vec::new(),
-        truncated: false,
-    };
-    let mut anchors = Vec::new();
-    element_candidates(prog, loops, *anchor_ty, &mut anchors);
-    for cand in &anchors {
-        let stmt = match cand.0 {
-            Elem::Stmt(s) => Some(s),
-            Elem::Loop(_) => None,
-        };
-        if let Some(only) = only_stmt {
-            if stmt != Some(only) {
-                continue;
-            }
-        }
-        let blocker = walk.candidate(auto, anchor_clause, cand)?;
-        report.candidates.push(CandidateExplanation {
-            anchor: render_candidate(prog, cand),
-            stmt,
-            blocker,
+    let mut s = Searcher::with_verdicts(prog, deps, opt, Visits::default());
+    s.at_point = only_stmt;
+    s.find_all(usize::MAX)?;
+    let visits = std::mem::take(&mut s.verdicts.0);
+    let mut candidates = Vec::with_capacity(visits.len());
+    // Each clause's text, rendered for the first candidate it blocks.
+    let mut texts = Vec::new();
+    for visit in &visits {
+        candidates.push(CandidateExplanation {
+            anchor: render_candidate(prog, &visit.cand),
+            stmt: match visit.cand.0 {
+                Elem::Stmt(st) => Some(st),
+                Elem::Loop(_) => None,
+            },
+            blocker: blocker(&mut s, auto, visit, &mut texts)?,
         });
     }
-    report.truncated = walk.truncated;
-    Ok(report)
+    Ok(ExplainReport {
+        optimizer: opt.name.clone(),
+        fused: auto.opt_id(&opt.name).is_some(),
+        truncated: false,
+        candidates,
+    })
 }
 
-/// The state of one explain walk, reused across its candidates: the
-/// searcher whose environment and clause solver the walk runs, and the
-/// environment frontiers, kept as rows of every slot.
-struct Walk<'a> {
-    searcher: Searcher<'a>,
-    envs: Rows,
-    next: Rows,
-    sols: Rows,
-    cands: Vec<Cand>,
-    truncated: bool,
+/// The gate that blocked one visited anchor candidate; `None` when one
+/// of its bindings satisfies the whole precondition. `texts` caches the
+/// clauses' rendered text.
+fn blocker(
+    s: &mut Searcher<'_, Visits>,
+    auto: &FusedAutomaton,
+    visit: &Visit,
+    texts: &mut Vec<Option<String>>,
+) -> Result<Option<Blocker>, RunError> {
+    let (opt, d) = (s.opt, visit.depth);
+    let (np, clauses) = (opt.patterns.len(), opt.patterns.len() + opt.depends.len());
+    if d == 0 {
+        return anchor_blocker(s, auto, &visit.cand);
+    }
+    if d == clauses {
+        return Ok(None); // past the last clause: a binding completed
+    }
+    texts.resize(clauses, None);
+    let clause_text = texts[d]
+        .get_or_insert_with(|| match opt.patterns.get(d) {
+            Some((clause, _)) => pretty_pattern_clause(clause),
+            None => pretty_depend_clause(&opt.depends[d - np].clause),
+        })
+        .clone();
+    // Every binding reaching clause `d` died there: by a witness when it
+    // is a `no` clause, else for want of one (an `all` clause never
+    // kills a binding).
+    Ok(Some(match (&visit.witness, d < np) {
+        (Some(Witness::Elem(c)), _) => Blocker::Forbidden {
+            clause: d,
+            clause_text,
+            witness: render_candidate(s.prog, c),
+        },
+        // The solution's bindings of the clause variables, which lead
+        // its row.
+        (Some(Witness::Row(row)), _) => Blocker::DepForbidden {
+            clause: d - np,
+            clause_text,
+            witness: opt.depends[d - np]
+                .clause
+                .vars
+                .iter()
+                .zip(row)
+                .filter_map(|(v, val)| {
+                    val.as_ref().map(|val| format!("{v} = {}", render_val(val)))
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
+        },
+        (None, true) => Blocker::NoWitness {
+            clause: d,
+            clause_text,
+        },
+        (None, false) => Blocker::DepUnsatisfied {
+            clause: d - np,
+            clause_text,
+        },
+    }))
 }
 
-impl Walk<'_> {
-    /// Loads frontier row `i` into the searcher's environment.
-    fn load(&mut self, i: usize) {
-        self.searcher.env.load(self.envs.row(i));
+/// Why an anchor candidate's format failed: the automaton's admission
+/// verdict when it rejects the statement, else the first false conjunct,
+/// evaluated with the anchor's variables bound in the search
+/// environment (empty once the search has finished).
+fn anchor_blocker(
+    s: &mut Searcher<'_, Visits>,
+    auto: &FusedAutomaton,
+    cand: &Cand,
+) -> Result<Option<Blocker>, RunError> {
+    let (prog, opt) = (s.prog, s.opt);
+    if let Elem::Stmt(st) = cand.0 {
+        match auto.explain_admission(&opt.name, prog.quad(st)) {
+            AdmissionVerdict::OpcodeMiss { got, expected } => {
+                return Ok(Some(Blocker::OpcodeMiss {
+                    got: got.to_owned(),
+                    expected: expected.iter().map(|&e| e.to_owned()).collect(),
+                }))
+            }
+            v @ AdmissionVerdict::EdgeFailed { actual, .. } => {
+                return Ok(Some(Blocker::EdgeFailed {
+                    edge: v.edge(),
+                    actual: actual.keyword().to_owned(),
+                }))
+            }
+            AdmissionVerdict::NotFused | AdmissionVerdict::Admitted => {}
+        }
+    }
+    let (Some(ast), Some(cond)) = (&opt.patterns[0].0.format, &opt.pattern_slots[0].format) else {
+        return Ok(None);
+    };
+    for (&v, e) in opt.pattern_slots[0].vars.iter().zip(cand_elems(cand)) {
+        s.env.put(v, Some(e.into()));
+    }
+    let conjunct = first_false_conjunct(prog, s.deps.loops(), &s.env, ast, cond);
+    s.env.clear();
+    Ok(conjunct?.map(|c| Blocker::FormatFailed {
+        clause: 0,
+        conjunct: pretty_bool(c),
+    }))
+}
+
+/// The explain search's verdict sink: one record per visited anchor
+/// candidate, in visiting order.
+#[derive(Default)]
+struct Visits(Vec<Visit>);
+
+/// What the search did under one anchor candidate.
+struct Visit {
+    cand: Cand,
+    /// The deepest clause any of its bindings entered (pattern clauses,
+    /// then Depend clauses; one past the last means it fires).
+    depth: usize,
+    /// What the `no` clause at `depth` matched for the last binding it
+    /// killed; `None` while no binding died there by a witness.
+    witness: Option<Witness>,
+}
+
+enum Witness {
+    /// A `no` pattern clause's matching element.
+    Elem(Cand),
+    /// A `no` Depend clause's first solution row.
+    Row(Vec<Option<RtVal>>),
+}
+
+impl Visits {
+    /// The current anchor's record, when `idx` is its deepest clause.
+    fn at_depth(&mut self, idx: usize) -> Option<&mut Visit> {
+        self.0.last_mut().filter(|v| v.depth == idx)
+    }
+}
+
+impl VerdictSink for Visits {
+    /// Records the candidate, and skips it unless admitted: its
+    /// attribution is then the automaton's admission verdict.
+    fn anchor(&mut self, cand: &Cand, admitted: bool) -> bool {
+        self.0.push(Visit {
+            cand: *cand,
+            depth: 0,
+            witness: None,
+        });
+        admitted
     }
 
-    /// Keeps the searcher's environment in the next frontier, up to
-    /// [`ENV_CAP`].
-    fn keep(&mut self) {
-        if self.next.len() < ENV_CAP {
-            self.next.push(self.searcher.env.vals());
-        } else {
-            self.truncated = true;
+    fn reached(&mut self, idx: usize) {
+        if let Some(v) = self.0.last_mut().filter(|v| idx > v.depth) {
+            v.depth = idx;
+            v.witness = None;
         }
     }
 
-    /// One candidate's walk; returns the first failing gate.
-    fn candidate(
-        &mut self,
-        auto: &FusedAutomaton,
-        anchor_clause: &PatternClause,
-        cand: &Cand,
-    ) -> Result<Option<Blocker>, RunError> {
-        let s = &mut self.searcher;
-        let (prog, loops, opt) = (s.prog, s.deps.loops(), s.opt);
-        // Gate 1: the fused automaton's admission path.
-        if let Elem::Stmt(st) = cand.0 {
-            match auto.explain_admission(&opt.name, prog.quad(st)) {
-                AdmissionVerdict::OpcodeMiss { got, expected } => {
-                    return Ok(Some(Blocker::OpcodeMiss {
-                        got: got.to_owned(),
-                        expected: expected.iter().map(|&e| e.to_owned()).collect(),
-                    }))
-                }
-                v @ AdmissionVerdict::EdgeFailed { actual, .. } => {
-                    return Ok(Some(Blocker::EdgeFailed {
-                        edge: v.edge(),
-                        actual: actual.keyword().to_owned(),
-                    }))
-                }
-                AdmissionVerdict::NotFused | AdmissionVerdict::Admitted => {}
-            }
+    fn forbidden(&mut self, idx: usize, witness: &Cand) {
+        if let Some(v) = self.at_depth(idx) {
+            v.witness = Some(Witness::Elem(*witness));
         }
-        // Gate 2: the anchor format, conjunct by conjunct.
-        s.env.clear();
-        for (&v, e) in opt.pattern_slots[0].vars.iter().zip(cand_elems(cand)) {
-            s.env.put(v, Some(e.into()));
+    }
+
+    fn dep_forbidden(&mut self, idx: usize, solution: &[Option<RtVal>]) {
+        if let Some(v) = self.at_depth(idx) {
+            v.witness = Some(Witness::Row(solution.to_vec()));
         }
-        if let (Some(ast), Some(cond)) = (&anchor_clause.format, &opt.pattern_slots[0].format) {
-            let mut checks = 0u64;
-            if let Some(conjunct) =
-                first_false_conjunct(prog, loops, &s.env, ast, cond, &mut checks)?
-            {
-                return Ok(Some(Blocker::FormatFailed {
-                    clause: 0,
-                    conjunct: pretty_bool(conjunct),
-                }));
-            }
-        }
-        // Gate 3: the remaining pattern clauses, breadth-first over
-        // surviving environments.
-        let width = opt.names.len();
-        self.envs.reset(width);
-        self.envs.push(self.searcher.env.vals());
-        for (idx, (clause, ty)) in opt.patterns.iter().enumerate().skip(1) {
-            let slots = &opt.pattern_slots[idx];
-            element_candidates(prog, loops, *ty, &mut self.cands);
-            let holds = |s: &Searcher<'_>| -> Result<bool, RunError> {
-                match &slots.format {
-                    None => Ok(true),
-                    Some(f) => eval_format(prog, loops, &s.env, f, &mut 0),
-                }
-            };
-            self.next.reset(width);
-            match clause.quant {
-                Quant::Any => {
-                    for i in 0..self.envs.len() {
-                        'cands: for c in 0..self.cands.len() {
-                            self.load(i);
-                            let cand = self.cands[c];
-                            for (&v, e) in slots.vars.iter().zip(cand_elems(&cand)) {
-                                let val = RtVal::from(e);
-                                match self.searcher.env.slot(v) {
-                                    Some(existing) if *existing != val => continue 'cands,
-                                    _ => {
-                                        self.searcher.env.put(v, Some(val));
-                                    }
-                                }
-                            }
-                            if holds(&self.searcher)? {
-                                self.keep();
-                            }
-                        }
-                    }
-                    if self.next.is_empty() {
-                        return Ok(Some(Blocker::NoWitness {
-                            clause: idx,
-                            clause_text: pretty_pattern_clause(clause),
-                        }));
-                    }
-                }
-                Quant::No => {
-                    let mut witness = None;
-                    for i in 0..self.envs.len() {
-                        let mut dead = false;
-                        for c in 0..self.cands.len() {
-                            self.load(i);
-                            let cand = self.cands[c];
-                            for (&v, e) in slots.vars.iter().zip(cand_elems(&cand)) {
-                                self.searcher.env.put(v, Some(e.into()));
-                            }
-                            if holds(&self.searcher)? {
-                                dead = true;
-                                witness = Some(cand);
-                                break;
-                            }
-                        }
-                        if !dead {
-                            self.next.push(self.envs.row(i));
-                        }
-                    }
-                    if self.next.is_empty() {
-                        return Ok(Some(Blocker::Forbidden {
-                            clause: idx,
-                            clause_text: pretty_pattern_clause(clause),
-                            witness: witness
-                                .map_or_else(String::new, |c| render_candidate(prog, &c)),
-                        }));
-                    }
-                }
-                Quant::All => {
-                    return Err(RunError::Action(
-                        "`all` in Code_Pattern is rejected at generation time".into(),
-                    ))
-                }
-            }
-            std::mem::swap(&mut self.envs, &mut self.next);
-        }
-        // Gate 4: the Depend section, clause by clause, running the
-        // searcher's solver so strategy selection and edge semantics are
-        // identical to a real run.
-        for (di, cc) in opt.depends.iter().enumerate() {
-            let row = &cc.slots.row;
-            self.next.reset(width);
-            match cc.clause.quant {
-                Quant::Any => {
-                    for i in 0..self.envs.len() {
-                        self.load(i);
-                        self.searcher.solve_clause(di, &mut self.sols)?;
-                        for j in 0..self.sols.len() {
-                            for (&slot, v) in row.iter().zip(self.sols.row(j)) {
-                                self.searcher.env.put(slot, v.clone());
-                            }
-                            self.keep();
-                        }
-                    }
-                    if self.next.is_empty() {
-                        return Ok(Some(Blocker::DepUnsatisfied {
-                            clause: di,
-                            clause_text: pretty_depend_clause(&cc.clause),
-                        }));
-                    }
-                }
-                Quant::No => {
-                    let mut witness = Vec::new();
-                    for i in 0..self.envs.len() {
-                        self.load(i);
-                        self.searcher.solve_clause(di, &mut self.sols)?;
-                        if self.sols.is_empty() {
-                            self.next.push(self.envs.row(i));
-                        } else {
-                            witness.clear();
-                            witness.extend_from_slice(self.sols.row(0));
-                        }
-                    }
-                    if self.next.is_empty() {
-                        // The solution's bindings of the clause variables,
-                        // which lead its row.
-                        let witness = cc
-                            .clause
-                            .vars
-                            .iter()
-                            .zip(&witness)
-                            .filter_map(|(v, val)| {
-                                val.as_ref().map(|val| format!("{v} = {}", render_val(val)))
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        return Ok(Some(Blocker::DepForbidden {
-                            clause: di,
-                            clause_text: pretty_depend_clause(&cc.clause),
-                            witness,
-                        }));
-                    }
-                }
-                Quant::All => {
-                    // `all` collects a set; it never kills an environment.
-                    // Mirror the searcher's collection so later clauses see
-                    // the same bindings a real run would.
-                    for i in 0..self.envs.len() {
-                        self.load(i);
-                        self.searcher.solve_clause(di, &mut self.sols)?;
-                        self.searcher.bind_sets(&cc.slots, &self.sols);
-                        self.next.push(self.searcher.env.vals());
-                    }
-                }
-            }
-            std::mem::swap(&mut self.envs, &mut self.next);
-        }
-        Ok(None)
     }
 }
 
@@ -723,5 +613,14 @@ mod tests {
             None => {} // no control dep recorded for loop bodies: fires
             other => panic!("unexpected blocker {other:?}"),
         }
+        // Restricted to one statement, a loop anchor is selected by its
+        // head, as `ApplyMode::AtPoint` selects it.
+        let head = p.iter().next().unwrap();
+        let report = explain(&p, &d, &lur, &auto, Some(head)).unwrap();
+        assert_eq!(report.candidates.len(), 1, "{}", report.to_text());
+        assert_eq!(report.candidates[0].anchor, "L0");
+        let body = p.iter().nth(1).unwrap();
+        let report = explain(&p, &d, &lur, &auto, Some(body)).unwrap();
+        assert!(report.candidates.is_empty(), "{}", report.to_text());
     }
 }

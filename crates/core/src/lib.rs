@@ -66,11 +66,9 @@ pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, Ba
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;
-pub use driver::{
-    matcher_default, ApplyMode, ApplyReport, DegradeStats, Driver, MatchSet, MatcherKind,
-};
+pub use driver::{matcher_default, ApplyMode, ApplyReport, Driver, MatchSet, MatcherKind};
 pub use error::{GenerateError, RunError};
-pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport, ENV_CAP};
+pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport};
 pub use fault::{FaultKind, FaultPlan};
 pub use rt::{Bindings, RtVal};
 pub use session::{Session, SessionOptions};

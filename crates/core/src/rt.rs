@@ -153,17 +153,6 @@ impl Bindings {
         self.vals[slot].as_ref()
     }
 
-    /// Every slot's value, in slot order.
-    pub(crate) fn vals(&self) -> &[Option<RtVal>] {
-        &self.vals
-    }
-
-    /// Overwrites every slot from `vals` (as returned by
-    /// [`Bindings::vals`] over the same table).
-    pub(crate) fn load(&mut self, vals: &[Option<RtVal>]) {
-        self.vals.clone_from_slice(vals);
-    }
-
     /// Unbinds every slot.
     pub(crate) fn clear(&mut self) {
         self.vals.fill(None);

@@ -406,7 +406,7 @@ pub(crate) fn cand_elems(c: &Cand) -> impl Iterator<Item = Elem> {
 /// Fixed-width rows of slot values in one flat buffer: the solutions of
 /// a dependence clause, or the rows a deduplication site has listed.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Rows {
+struct Rows {
     width: usize,
     len: usize,
     vals: Vec<Option<RtVal>>,
@@ -414,29 +414,22 @@ pub(crate) struct Rows {
 
 impl Rows {
     /// Empties the buffer and sets its row width.
-    pub(crate) fn reset(&mut self, width: usize) {
+    fn reset(&mut self, width: usize) {
         self.width = width;
         self.len = 0;
         self.vals.clear();
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    pub(crate) fn row(&self, i: usize) -> &[Option<RtVal>] {
+    fn row(&self, i: usize) -> &[Option<RtVal>] {
         &self.vals[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Appends `row`.
-    pub(crate) fn push(&mut self, row: &[Option<RtVal>]) {
-        debug_assert_eq!(row.len(), self.width);
-        self.vals.extend_from_slice(row);
-        self.len += 1;
     }
 
     /// Appends the values of `slots` in `env`, unless an equal row is
@@ -475,53 +468,20 @@ enum Side {
 
 /// A continuation: called once per solution, with the solution bound in
 /// the searcher's environment.
-type Sink<'s, 'a> = dyn FnMut(&mut Searcher<'a>) -> Result<(), RunError> + 's;
+type Sink<'s, 'a, V> = dyn FnMut(&mut Searcher<'a, V>) -> Result<(), RunError> + 's;
 
 // ---------------------------------------------------------------------------
 // the searcher
 // ---------------------------------------------------------------------------
 
-/// One precondition search over a program snapshot. Owns the running cost
-/// counters and the per-clause strategy log used by the §4 experiments.
-pub(crate) struct Searcher<'a> {
-    pub prog: &'a Program,
-    pub deps: &'a DepGraph,
-    pub opt: &'a CompiledOptimizer,
+/// What one search pass counted: the §4 cost model, the match funnel
+/// and the fused matcher's bookkeeping. The driver adds each pass's
+/// tally to its run ledger with one call ([`SearchTally::add`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SearchTally {
+    /// Pattern and dependence checks and anchor visits (the driver also
+    /// adds the actions' `transform_ops` to its run-wide sum).
     pub cost: Cost,
-    /// Restrict the first pattern clause's anchor to this statement
-    /// ("select application points", §3 interface option).
-    pub at_point: Option<StmtId>,
-    /// Resume filter: skip first-clause anchors strictly before this
-    /// statement in program order. Set by the driver to the dependence
-    /// update's dirty frontier — anchors before it saw no change since
-    /// they last failed to match. Ignored when `at_point` is set.
-    pub resume_from: Option<StmtId>,
-    /// Complement filter: keep only first-clause anchors strictly
-    /// *before* this statement. The driver's fixpoint safety net pairs it
-    /// with a missed `resume_from` search so together the two passes
-    /// cover every anchor exactly once. Ignored when `at_point` is set.
-    pub stop_before: Option<StmtId>,
-    /// Skip the Depend section ("override dependence restrictions").
-    pub ignore_depends: bool,
-    /// Which strategy each Depend clause actually used, in evaluation
-    /// order (introspection for the strategy experiments).
-    pub strategies_used: Vec<Strategy>,
-    /// Per-Depend-clause candidate kills, indexed by clause position: how
-    /// often an `any` clause found no solution or a `no` clause found one,
-    /// failing the candidate binding reached from the pattern section.
-    pub dep_rejects: Vec<u64>,
-    /// The catalog-wide fused automaton and this optimizer's id in it,
-    /// when the driver runs the fused matcher and the automaton fuses
-    /// this optimizer's anchor. The top rung of the degradation ladder:
-    /// anchor candidates come from the optimizer's posting (admission
-    /// already classified — zero per-search test evaluation), falling to
-    /// the scan on stale order.
-    pub fused: Option<(&'a FusedAutomaton, usize)>,
-    /// How often the fused candidate path fell back because a posting
-    /// member's program order was unknown to the dependence snapshot —
-    /// the first rung of the degradation ladder (fused → scan). The
-    /// driver surfaces it as `search.degraded.stale_order`.
-    pub degraded_stale_order: u64,
     /// Anchor candidates skipped without a visit because the fused
     /// posting excluded them (they could never pass the anchor clause's
     /// admission tests).
@@ -529,27 +489,11 @@ pub(crate) struct Searcher<'a> {
     /// Anchor candidates dispatched from the fused automaton's posting
     /// (surfaced as `search.fused.dispatched.<OPT>`).
     pub fused_dispatched: u64,
-    /// Accumulate wall time spent in the pattern-matching phase
-    /// (candidate enumeration + clause format evaluation) into
-    /// `pattern_ns`. Off by default — the driver turns it on when a
-    /// recorder is attached, keeping the timer calls out of untraced
-    /// runs.
-    pub time_pattern: bool,
-    /// Nanoseconds spent in the pattern-matching phase, when
-    /// `time_pattern` is set. Dependence-clause evaluation is excluded:
-    /// the paper's cost model splits precondition checking into the two
-    /// phases, and the fused automaton targets only this one.
-    pub pattern_ns: u64,
-    /// Set by the most recent `pattern_candidates` call when the
-    /// candidates came from a fused posting whose [`AnchorFilter`] is
-    /// `exact` — the posting *is* the format's satisfying set, so
-    /// `rec_pattern` skips format evaluation for those candidates.
-    format_known: bool,
-    /// How the most recent anchor enumeration relates to the admission
-    /// set, so funnel accounting stays matcher-independent (see
-    /// [`AnchorAdmission`]). Set by `pattern_candidates` for the anchor
-    /// clause only.
-    anchor_admission: AnchorAdmission,
+    /// How often the fused candidate path fell back because a posting
+    /// member's program order was unknown to the dependence snapshot —
+    /// the first rung of the degradation ladder (fused → scan). The
+    /// driver surfaces it as `search.degraded.stale_order`.
+    pub degraded_stale_order: u64,
     /// Funnel: elements the anchor enumeration considered, before any
     /// admission narrowing — `prog.len()` for statement anchors, the
     /// loop-table candidate count for loop anchors. Matcher-independent
@@ -570,6 +514,116 @@ pub(crate) struct Searcher<'a> {
     /// matched anchor can reach dependence checking under several
     /// bindings, or under none when a later pattern clause fails.
     pub funnel_dep_checked: u64,
+    /// Per-Depend-clause candidate kills, indexed by clause position: how
+    /// often an `any` clause found no solution or a `no` clause found one,
+    /// failing the candidate binding reached from the pattern section.
+    pub dep_rejects: Vec<u64>,
+    /// Nanoseconds spent in the pattern-matching phase (candidate
+    /// enumeration + clause format evaluation), when the searcher's
+    /// `time_pattern` is set. Dependence-clause evaluation is excluded:
+    /// the paper's cost model splits precondition checking into the two
+    /// phases, and the fused automaton targets only this one.
+    pub pattern_ns: u64,
+}
+
+impl SearchTally {
+    /// Adds another pass's counts to these.
+    pub(crate) fn add(&mut self, other: &SearchTally) {
+        self.cost += other.cost;
+        self.candidates_pruned += other.candidates_pruned;
+        self.fused_dispatched += other.fused_dispatched;
+        self.degraded_stale_order += other.degraded_stale_order;
+        self.funnel_classified += other.funnel_classified;
+        self.funnel_admitted += other.funnel_admitted;
+        self.funnel_matched += other.funnel_matched;
+        self.funnel_dep_checked += other.funnel_dep_checked;
+        if self.dep_rejects.len() < other.dep_rejects.len() {
+            self.dep_rejects.resize(other.dep_rejects.len(), 0);
+        }
+        for (acc, n) in self.dep_rejects.iter_mut().zip(&other.dep_rejects) {
+            *acc += n;
+        }
+        self.pattern_ns += other.pattern_ns;
+    }
+}
+
+/// Where the searcher reports what each gate decided, for callers that
+/// attribute failure instead of collecting bindings (the explain
+/// engine). Clause indices count the pattern clauses, then the Depend
+/// clauses; index `patterns + depends` is a full binding.
+pub(crate) trait VerdictSink {
+    /// An anchor candidate is about to be visited; `admitted` says
+    /// whether it is in the anchor's admission set, outside which its
+    /// format cannot hold. Returning false skips the candidate.
+    fn anchor(&mut self, _cand: &Cand, _admitted: bool) -> bool {
+        true
+    }
+    /// A binding of the current anchor entered clause `idx`.
+    fn reached(&mut self, _idx: usize) {}
+    /// `no` pattern clause `idx` killed the binding: `witness` matches.
+    fn forbidden(&mut self, _idx: usize, _witness: &Cand) {}
+    /// `no` Depend clause `idx` killed the binding: `solution` is its
+    /// first solution row.
+    fn dep_forbidden(&mut self, _idx: usize, _solution: &[Option<RtVal>]) {}
+}
+
+/// The sink of ordinary searches: every report compiles to nothing.
+pub(crate) struct NoVerdicts;
+
+impl VerdictSink for NoVerdicts {}
+
+/// One precondition search over a program snapshot. Owns the pass's
+/// [`SearchTally`] and the per-clause strategy log used by the §4
+/// experiments, and reports gate decisions to `verdicts`.
+pub(crate) struct Searcher<'a, V = NoVerdicts> {
+    pub prog: &'a Program,
+    pub deps: &'a DepGraph,
+    pub opt: &'a CompiledOptimizer,
+    /// Restrict the first pattern clause's anchor to this statement
+    /// ("select application points", §3 interface option); a loop
+    /// anchor is matched by its head statement.
+    pub at_point: Option<StmtId>,
+    /// Resume filter: skip first-clause anchors strictly before this
+    /// statement in program order. Set by the driver to the dependence
+    /// update's dirty frontier — anchors before it saw no change since
+    /// they last failed to match. Ignored when `at_point` is set.
+    pub resume_from: Option<StmtId>,
+    /// Complement filter: keep only first-clause anchors strictly
+    /// *before* this statement. The driver's fixpoint safety net pairs it
+    /// with a missed `resume_from` search so together the two passes
+    /// cover every anchor exactly once. Ignored when `at_point` is set.
+    pub stop_before: Option<StmtId>,
+    /// Skip the Depend section ("override dependence restrictions").
+    pub ignore_depends: bool,
+    /// Which strategy each Depend clause actually used, in evaluation
+    /// order (introspection for the strategy experiments).
+    pub strategies_used: Vec<Strategy>,
+    /// The catalog-wide fused automaton and this optimizer's id in it,
+    /// when the driver runs the fused matcher and the automaton fuses
+    /// this optimizer's anchor. The top rung of the degradation ladder:
+    /// anchor candidates come from the optimizer's posting (admission
+    /// already classified — zero per-search test evaluation), falling to
+    /// the scan on stale order.
+    pub fused: Option<(&'a FusedAutomaton, usize)>,
+    /// Accumulate wall time spent in the pattern-matching phase into
+    /// `tally.pattern_ns`. Off by default — the driver turns it on for
+    /// sampled-in attempts, keeping the timer calls out of untraced
+    /// runs.
+    pub time_pattern: bool,
+    /// What this search counted.
+    pub tally: SearchTally,
+    /// The gate-verdict sink.
+    pub verdicts: V,
+    /// Set by the most recent `pattern_candidates` call when the
+    /// candidates came from a fused posting whose [`AnchorFilter`] is
+    /// `exact` — the posting *is* the format's satisfying set, so
+    /// `rec_pattern` skips format evaluation for those candidates.
+    format_known: bool,
+    /// How the most recent anchor enumeration relates to the admission
+    /// set, so funnel accounting stays matcher-independent (see
+    /// [`AnchorAdmission`]). Set by `pattern_candidates` for the anchor
+    /// clause only.
+    anchor_admission: AnchorAdmission,
     /// The environment the search binds and unbinds in place.
     pub env: Bindings,
     /// Per pattern clause: its candidate buffer.
@@ -601,29 +655,36 @@ enum AnchorAdmission {
 
 impl<'a> Searcher<'a> {
     pub fn new(prog: &'a Program, deps: &'a DepGraph, opt: &'a CompiledOptimizer) -> Searcher<'a> {
+        Searcher::with_verdicts(prog, deps, opt, NoVerdicts)
+    }
+}
+
+impl<'a, V: VerdictSink> Searcher<'a, V> {
+    /// A searcher that reports its gate decisions to `verdicts`.
+    pub fn with_verdicts(
+        prog: &'a Program,
+        deps: &'a DepGraph,
+        opt: &'a CompiledOptimizer,
+        verdicts: V,
+    ) -> Searcher<'a, V> {
         Searcher {
             prog,
             deps,
             opt,
-            cost: Cost::zero(),
             at_point: None,
             resume_from: None,
             stop_before: None,
             ignore_depends: false,
             strategies_used: Vec::new(),
-            dep_rejects: vec![0; opt.depends.len()],
             fused: None,
-            degraded_stale_order: 0,
-            candidates_pruned: 0,
-            fused_dispatched: 0,
             time_pattern: false,
-            pattern_ns: 0,
+            tally: SearchTally {
+                dep_rejects: vec![0; opt.depends.len()],
+                ..SearchTally::default()
+            },
+            verdicts,
             format_known: false,
             anchor_admission: AnchorAdmission::All,
-            funnel_classified: 0,
-            funnel_admitted: 0,
-            funnel_matched: 0,
-            funnel_dep_checked: 0,
             env: Bindings::over(opt.names.clone()),
             cands: (0..opt.patterns.len()).map(|_| Vec::new()).collect(),
             clause_bufs: (0..opt.depends.len())
@@ -635,13 +696,23 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Whether a visited anchor candidate is in the admission set, under
-    /// the enumeration's [`AnchorAdmission`] accounting.
-    fn anchor_admitted(&self, admission: &AnchorAdmission, cand: &Cand) -> bool {
-        match (admission, cand.0) {
+    /// Counts one visit of a candidate of clause `idx`. Returns whether
+    /// it is an anchor in the admission set, under the enumeration's
+    /// [`AnchorAdmission`] accounting, or `None` when the verdict sink
+    /// skips it.
+    fn visit(&mut self, idx: usize, admission: &AnchorAdmission, cand: &Cand) -> Option<bool> {
+        if idx != 0 {
+            return Some(false);
+        }
+        self.tally.cost.anchor_visits += 1;
+        let admitted = match (admission, cand.0) {
             (AnchorAdmission::Filter(f), Elem::Stmt(s)) => f.admits(self.prog.quad(s)),
             _ => true,
+        };
+        if admitted {
+            self.tally.funnel_admitted += 1;
         }
+        self.verdicts.anchor(cand, admitted).then_some(admitted)
     }
 
     fn loops(&self) -> &'a LoopTable {
@@ -656,7 +727,7 @@ impl<'a> Searcher<'a> {
     /// Closes a [`Searcher::pattern_timer`] interval.
     fn note_pattern(&mut self, t: Option<Instant>) {
         if let Some(t) = t {
-            self.pattern_ns += t.elapsed().as_nanos() as u64;
+            self.tally.pattern_ns += t.elapsed().as_nanos() as u64;
         }
     }
 
@@ -685,6 +756,7 @@ impl<'a> Searcher<'a> {
     fn rec(&mut self, idx: usize, out: &mut Vec<Bindings>, limit: usize) -> Result<bool, RunError> {
         let opt = self.opt;
         let np = opt.patterns.len();
+        self.verdicts.reached(idx);
         if idx < np {
             let mut cands = std::mem::take(&mut self.cands[idx]);
             let r = self.rec_pattern(idx, &mut cands, out, limit);
@@ -699,7 +771,7 @@ impl<'a> Searcher<'a> {
         };
         if di < depends {
             if di == 0 {
-                self.funnel_dep_checked += 1;
+                self.tally.funnel_dep_checked += 1;
             }
             let mut buf = std::mem::take(&mut self.clause_bufs[di]);
             let r = self.rec_depend(idx, &mut buf, out, limit);
@@ -758,13 +830,9 @@ impl<'a> Searcher<'a> {
         match opt.patterns[idx].0.quant {
             Quant::Any => {
                 for cand in cands.iter() {
-                    let admitted = idx == 0 && self.anchor_admitted(admission, cand);
-                    if idx == 0 {
-                        self.cost.anchor_visits += 1;
-                        if admitted {
-                            self.funnel_admitted += 1;
-                        }
-                    }
+                    let Some(admitted) = self.visit(idx, admission, cand) else {
+                        continue;
+                    };
                     // A variable bound by an earlier clause (loop pairs
                     // chained through a shared loop) must agree; the
                     // others are bound here and unbound after the visit.
@@ -788,7 +856,7 @@ impl<'a> Searcher<'a> {
                     }
                     let holds = agree && (known_hold || self.format_holds(idx)?);
                     if admitted && holds {
-                        self.funnel_matched += 1;
+                        self.tally.funnel_matched += 1;
                     }
                     let done = holds && {
                         let running = t.take();
@@ -811,13 +879,9 @@ impl<'a> Searcher<'a> {
             }
             Quant::No => {
                 for cand in cands.iter() {
-                    let admitted = idx == 0 && self.anchor_admitted(admission, cand);
-                    if idx == 0 {
-                        self.cost.anchor_visits += 1;
-                        if admitted {
-                            self.funnel_admitted += 1;
-                        }
-                    }
+                    let Some(admitted) = self.visit(idx, admission, cand) else {
+                        continue;
+                    };
                     let mut saved: [(Slot, Option<RtVal>); 2] = Default::default();
                     let mut nsaved = 0;
                     for (&slot, e) in vars.iter().zip(cand_elems(cand)) {
@@ -830,8 +894,9 @@ impl<'a> Searcher<'a> {
                     }
                     if holds {
                         if admitted {
-                            self.funnel_matched += 1;
+                            self.tally.funnel_matched += 1;
                         }
+                        self.verdicts.forbidden(idx, cand);
                         return Ok(false); // an element matches: clause fails
                     }
                 }
@@ -850,7 +915,7 @@ impl<'a> Searcher<'a> {
             Some(f) => {
                 let mut checks = 0u64;
                 let ok = eval_format(self.prog, self.loops(), &self.env, f, &mut checks)?;
-                self.cost.pattern_checks += checks;
+                self.tally.cost.pattern_checks += checks;
                 Ok(ok)
             }
         }
@@ -878,7 +943,7 @@ impl<'a> Searcher<'a> {
             match self.deps.order_of(s) {
                 Some(o) => ordered.push((o, s)),
                 None => {
-                    self.degraded_stale_order += 1;
+                    self.tally.degraded_stale_order += 1;
                     return None;
                 }
             }
@@ -907,18 +972,22 @@ impl<'a> Searcher<'a> {
             .then(|| self.fused_stmt_candidates())
             .flatten();
         let loops = self.loops();
+        let pairs = match ty {
+            ElemType::NestedLoops => loops.nested_pairs(),
+            ElemType::TightLoops => loops.tight_pairs(self.prog),
+            ElemType::AdjacentLoops => loops.adjacent_pairs(self.prog),
+            ElemType::Stmt | ElemType::Loop => Vec::new(),
+        };
         if first {
             // Funnel accounting, fixed before `anchor_ok` borrows the
             // searcher. `classified` counts the enumeration's universe
             // (pre-admission, pre-resume-filter), identical for every
             // matcher; `anchor_admission` tells the visit loop how to
             // recognise the admission set among visited candidates.
-            self.funnel_classified += match ty {
+            self.tally.funnel_classified += match ty {
                 ElemType::Stmt => self.prog.len() as u64,
                 ElemType::Loop => loops.iter().count() as u64,
-                ElemType::NestedLoops => loops.nested_pairs().len() as u64,
-                ElemType::TightLoops => loops.tight_pairs(self.prog).len() as u64,
-                ElemType::AdjacentLoops => loops.adjacent_pairs(self.prog).len() as u64,
+                _ => pairs.len() as u64,
             };
             self.anchor_admission = if ty != ElemType::Stmt {
                 AnchorAdmission::All
@@ -960,7 +1029,7 @@ impl<'a> Searcher<'a> {
         match ty {
             ElemType::Stmt => {
                 if let Some((posting, exact)) = fused {
-                    self.candidates_pruned +=
+                    self.tally.candidates_pruned +=
                         (self.prog.len().saturating_sub(posting.len())) as u64;
                     self.format_known = exact;
                     out.extend(
@@ -969,7 +1038,7 @@ impl<'a> Searcher<'a> {
                             .filter(|&s| anchor_ok(s))
                             .map(|s| (Elem::Stmt(s), None)),
                     );
-                    self.fused_dispatched += out.len() as u64;
+                    self.tally.fused_dispatched += out.len() as u64;
                 } else {
                     out.extend(
                         self.prog
@@ -985,25 +1054,11 @@ impl<'a> Searcher<'a> {
                     .filter(|l| anchor_ok(l.head))
                     .map(|l| (Elem::Loop(l.id), None)),
             ),
-            ElemType::NestedLoops => out.extend(
-                loops
-                    .nested_pairs()
+            // A pair is anchored at its first (outer, or earlier) loop.
+            _ => out.extend(
+                pairs
                     .into_iter()
-                    .filter(|&(o, _)| anchor_ok(loops.get(o).head))
-                    .map(pair),
-            ),
-            ElemType::TightLoops => out.extend(
-                loops
-                    .tight_pairs(self.prog)
-                    .into_iter()
-                    .filter(|&(o, _)| anchor_ok(loops.get(o).head))
-                    .map(pair),
-            ),
-            ElemType::AdjacentLoops => out.extend(
-                loops
-                    .adjacent_pairs(self.prog)
-                    .into_iter()
-                    .filter(|&(l1, _)| anchor_ok(loops.get(l1).head))
+                    .filter(|&(l, _)| anchor_ok(loops.get(l).head))
                     .map(pair),
             ),
         }
@@ -1024,7 +1079,7 @@ impl<'a> Searcher<'a> {
         match cc.clause.quant {
             Quant::Any => {
                 if buf.sols.is_empty() {
-                    self.dep_rejects[di] += 1;
+                    self.tally.dep_rejects[di] += 1;
                     return Ok(false);
                 }
                 self.save_row(row, &mut buf.base);
@@ -1044,7 +1099,8 @@ impl<'a> Searcher<'a> {
                 if buf.sols.is_empty() {
                     self.rec(idx + 1, out, limit)
                 } else {
-                    self.dep_rejects[di] += 1;
+                    self.tally.dep_rejects[di] += 1;
+                    self.verdicts.dep_forbidden(idx, buf.sols.row(0));
                     Ok(false)
                 }
             }
@@ -1072,7 +1128,7 @@ impl<'a> Searcher<'a> {
     /// Binds each variable of an `all` clause to the set its solutions
     /// collected: the distinct (statement, position) pairs, in solution
     /// order.
-    pub(crate) fn bind_sets(&mut self, cc: &ClauseSlots, sols: &Rows) {
+    fn bind_sets(&mut self, cc: &ClauseSlots, sols: &Rows) {
         for (i, var) in cc.vars.iter().enumerate() {
             let pj = var.pos.and_then(|p| cc.row.iter().position(|&s| s == p));
             let mut collected: Vec<(StmtId, Option<OperandPos>)> = Vec::new();
@@ -1095,7 +1151,7 @@ impl<'a> Searcher<'a> {
     /// (its variables and position variables) that makes the membership
     /// constraints and the condition true. The environment is left as it
     /// was.
-    pub(crate) fn solve_clause(&mut self, di: usize, sols: &mut Rows) -> Result<(), RunError> {
+    fn solve_clause(&mut self, di: usize, sols: &mut Rows) -> Result<(), RunError> {
         let opt = self.opt;
         let cc = &opt.depends[di];
         let strategy = self.pick_strategy(di);
@@ -1337,7 +1393,7 @@ impl<'a> Searcher<'a> {
     ) -> Result<(), RunError> {
         let Some(var) = cc.vars.get(i).map(|v| v.slot) else {
             if self.members_hold(cc)? {
-                self.each(cc, &cc.cond, &mut |s: &mut Searcher<'a>| {
+                self.each(cc, &cc.cond, &mut |s: &mut Searcher<'a, V>| {
                     sols.insert(&s.env, &cc.row);
                     Ok(())
                 })?;
@@ -1355,7 +1411,7 @@ impl<'a> Searcher<'a> {
 
     fn members_hold(&mut self, cc: &ClauseSlots) -> Result<bool, RunError> {
         for m in &cc.members {
-            self.cost.dep_checks += 1;
+            self.tally.cost.dep_checks += 1;
             let elem = eval(self.prog, self.loops(), &self.env, &m.elem)?
                 .as_stmt()
                 .ok_or_else(|| RunError::Action("mem(): element is not a statement".into()))?;
@@ -1370,7 +1426,7 @@ impl<'a> Searcher<'a> {
 
     fn solve_deps_first(&mut self, cc: &'a ClauseSlots, sols: &mut Rows) -> Result<(), RunError> {
         // Filter by membership afterwards.
-        self.each(cc, &cc.cond, &mut |s: &mut Searcher<'a>| {
+        self.each(cc, &cc.cond, &mut |s: &mut Searcher<'a, V>| {
             if s.members_hold(cc)? {
                 sols.insert(&s.env, &cc.row);
             }
@@ -1393,17 +1449,17 @@ impl<'a> Searcher<'a> {
         &mut self,
         cc: &'a ClauseSlots,
         c: &'a Cond,
-        k: &mut Sink<'_, 'a>,
+        k: &mut Sink<'_, 'a, V>,
     ) -> Result<(), RunError> {
         match c {
             Cond::And(lr) => {
                 let [l, r] = &**lr;
-                self.each(cc, l, &mut |s: &mut Searcher<'a>| s.each(cc, r, k))
+                self.each(cc, l, &mut |s: &mut Searcher<'a, V>| s.each(cc, r, k))
             }
             Cond::Or(lr, site) => {
                 let [l, r] = &**lr;
                 self.seen[*site].reset(cc.row.len());
-                let mut fresh = |s: &mut Searcher<'a>| {
+                let mut fresh = |s: &mut Searcher<'a, V>| {
                     if s.seen[*site].insert(&s.env, &cc.row) {
                         k(s)
                     } else {
@@ -1415,7 +1471,7 @@ impl<'a> Searcher<'a> {
             }
             Cond::Not(inner) => {
                 let mut holds = false;
-                self.each(cc, inner, &mut |_: &mut Searcher<'a>| {
+                self.each(cc, inner, &mut |_: &mut Searcher<'a, V>| {
                     holds = true;
                     Ok(())
                 })?;
@@ -1426,7 +1482,7 @@ impl<'a> Searcher<'a> {
                 }
             }
             Cond::Cmp(l, op, r) => {
-                self.cost.dep_checks += 1;
+                self.tally.cost.dep_checks += 1;
                 let holds = {
                     let lv = eval(self.prog, self.loops(), &self.env, l)?;
                     let rv = eval(self.prog, self.loops(), &self.env, r)?;
@@ -1439,7 +1495,7 @@ impl<'a> Searcher<'a> {
                 }
             }
             Cond::TypeIs(v, cls, positive) => {
-                self.cost.dep_checks += 1;
+                self.tally.cost.dep_checks += 1;
                 let holds = {
                     let o = eval(self.prog, self.loops(), &self.env, v)?
                         .into_operand()
@@ -1460,7 +1516,7 @@ impl<'a> Searcher<'a> {
         &mut self,
         cc: &'a ClauseSlots,
         atom: &'a DepAtom,
-        k: &mut Sink<'_, 'a>,
+        k: &mut Sink<'_, 'a, V>,
     ) -> Result<(), RunError> {
         let from = self.side_state(&atom.from)?;
         let to = self.side_state(&atom.to)?;
@@ -1471,20 +1527,20 @@ impl<'a> Searcher<'a> {
         // this is what makes the two §4 strategies measurably different.
         match (from, to) {
             (Side::Bound(f), Side::Bound(t)) => {
-                self.cost.dep_checks += deps.from(f).count().max(1) as u64;
+                self.tally.cost.dep_checks += deps.from(f).count().max(1) as u64;
                 let edges = deps.from(f).filter(|e| e.dst == t).filter(wanted);
                 self.bind_edges(cc, atom, from, to, edges, k)
             }
             (Side::Bound(f), Side::Unbound(_)) => {
-                self.cost.dep_checks += deps.from(f).count().max(1) as u64;
+                self.tally.cost.dep_checks += deps.from(f).count().max(1) as u64;
                 self.bind_edges(cc, atom, from, to, deps.from(f).filter(wanted), k)
             }
             (Side::Unbound(_), Side::Bound(t)) => {
-                self.cost.dep_checks += deps.to(t).count().max(1) as u64;
+                self.tally.cost.dep_checks += deps.to(t).count().max(1) as u64;
                 self.bind_edges(cc, atom, from, to, deps.to(t).filter(wanted), k)
             }
             (Side::Unbound(_), Side::Unbound(_)) => {
-                self.cost.dep_checks += deps.len().max(1) as u64;
+                self.tally.cost.dep_checks += deps.len().max(1) as u64;
                 self.bind_edges(cc, atom, from, to, deps.edges().iter().filter(wanted), k)
             }
         }
@@ -1502,7 +1558,7 @@ impl<'a> Searcher<'a> {
         from: Side,
         to: Side,
         edges: impl Iterator<Item = &'a DepEdge>,
-        k: &mut Sink<'_, 'a>,
+        k: &mut Sink<'_, 'a, V>,
     ) -> Result<(), RunError> {
         self.seen[atom.site].reset(cc.row.len());
         for e in edges {
@@ -1881,7 +1937,7 @@ END
             let opt = base.with_strategy(strat);
             let mut s = Searcher::new(&p, &d, &opt);
             s.find_all(usize::MAX).unwrap();
-            s.cost.dep_checks
+            s.tally.cost.dep_checks
         };
         assert_ne!(
             cost_of(Strategy::MembersFirst),
@@ -1940,7 +1996,7 @@ END
 
         let mut s = Searcher::new(&p, &d, &opt);
         s.find_all(usize::MAX).unwrap();
-        assert_eq!(s.cost.anchor_visits, n, "baseline visits every statement");
+        assert_eq!(s.tally.cost.anchor_visits, n, "baseline visits every statement");
 
         // Resuming from the statement at program order k must visit exactly
         // the anchors at or after k — none before the frontier.
@@ -1949,7 +2005,7 @@ END
         let mut s = Searcher::new(&p, &d, &opt);
         s.resume_from = Some(frontier);
         let found = s.find_all(usize::MAX).unwrap();
-        assert_eq!(s.cost.anchor_visits, n - 2);
+        assert_eq!(s.tally.cost.anchor_visits, n - 2);
         assert!(found
             .iter()
             .all(|b| d.order_of(b.get("S").unwrap().as_stmt().unwrap()) >= Some(2)));
@@ -1959,7 +2015,7 @@ END
         let mut s = Searcher::new(&p, &d, &opt);
         s.stop_before = Some(frontier);
         s.find_all(usize::MAX).unwrap();
-        assert_eq!(s.cost.anchor_visits, 2);
+        assert_eq!(s.tally.cost.anchor_visits, 2);
     }
 
     #[test]
@@ -2010,14 +2066,14 @@ END
 
         let mut s = Searcher::new(&p, &d, &opt);
         s.find_all(usize::MAX).unwrap();
-        assert_eq!(s.cost.anchor_visits, n, "find_all visits every anchor");
+        assert_eq!(s.tally.cost.anchor_visits, n, "find_all visits every anchor");
 
         // The very first statement matches, so `find_first` must stop
         // there: one anchor visit, not a collect-then-discard pass.
         let mut s = Searcher::new(&p, &d, &opt);
         let found = s.find_first().unwrap();
         assert!(found.is_some());
-        assert_eq!(s.cost.anchor_visits, 1);
+        assert_eq!(s.tally.cost.anchor_visits, 1);
     }
 
     #[test]
@@ -2046,7 +2102,7 @@ END
 
         let mut scan = Searcher::new(&p, &d, &opt);
         let scan_found = scan.find_all(usize::MAX).unwrap();
-        assert_eq!(scan.candidates_pruned, 0);
+        assert_eq!(scan.tally.candidates_pruned, 0);
 
         let mut fast = Searcher::new(&p, &d, &opt);
         fast.fused = Some((&auto, id));
@@ -2056,8 +2112,8 @@ END
         // the statements that could never carry the pinned opcode.
         assert_eq!(stmts_of(&scan_found), stmts_of(&fast_found));
         let assigns = p.iter().filter(|&s| p.quad(s).op == Opcode::Assign).count() as u64;
-        assert_eq!(fast.cost.anchor_visits, assigns);
-        assert_eq!(fast.candidates_pruned, p.len() as u64 - assigns);
-        assert!(fast.candidates_pruned > 0);
+        assert_eq!(fast.tally.cost.anchor_visits, assigns);
+        assert_eq!(fast.tally.candidates_pruned, p.len() as u64 - assigns);
+        assert!(fast.tally.candidates_pruned > 0);
     }
 }

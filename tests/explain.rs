@@ -4,8 +4,10 @@
 //! non-firing optimizer per workload it names the exact automaton
 //! edge, format conjunct, or dependence clause that blocks it.
 
-use genesis::{explain, Blocker, ExplainReport, FusedAutomaton, Session};
+use genesis::{explain, Blocker, Driver, ExplainReport, FusedAutomaton, RtVal, Session};
 use gospel_dep::DepGraph;
+use gospel_workloads::generator::{self, GenConfig};
+use std::collections::BTreeSet;
 
 /// Explain every catalog optimizer against one workload, returning
 /// `(optimizer name, report)` in catalog order.
@@ -52,6 +54,61 @@ fn explain_agrees_with_the_match_oracle_on_every_workload() {
             }
         }
     }
+}
+
+/// Per anchor, explain's verdict is the searcher's: the anchors that
+/// FIRE are exactly the first-pattern-variable values of the bindings
+/// `Driver::matches_with` finds, for every catalog optimizer on the
+/// suite and on the three generated programs of the golden snapshots.
+#[test]
+fn explain_fires_exactly_at_the_matched_anchors() {
+    let mut programs: Vec<(String, gospel_ir::Program)> = gospel_workloads::suite()
+        .into_iter()
+        .map(|(name, prog)| (name.to_string(), prog))
+        .collect();
+    for seed in [1, 2, 3] {
+        let cfg = GenConfig {
+            statements: 150,
+            ..GenConfig::default()
+        };
+        programs.push((format!("gen{seed}"), generator::generate(seed, cfg)));
+    }
+    let catalog = gospel_opts::catalog().expect("catalog compiles");
+    let mut fired = 0;
+    for (name, prog) in &programs {
+        let deps = DepGraph::analyze(prog).expect("dependence analysis");
+        for ((opt, report), compiled) in explain_all(prog).into_iter().zip(&catalog) {
+            // The first element of a FIRES candidate: `s4 (assign)`,
+            // `L0` or `(L0, L1)`.
+            let explained: BTreeSet<String> = report
+                .candidates
+                .iter()
+                .filter(|c| c.blocker.is_none())
+                .filter_map(|c| c.anchor.trim_start_matches('(').split([',', ' ']).next())
+                .map(str::to_string)
+                .collect();
+            let var = &compiled.patterns[0].0.vars[0];
+            let matched: BTreeSet<String> = Driver::new(compiled)
+                .matches_with(prog, &deps)
+                .expect("matches runs")
+                .bindings
+                .iter()
+                .map(|b| match b.get(var) {
+                    Some(RtVal::Stmt(s)) => s.to_string(),
+                    Some(RtVal::Loop(l)) => l.to_string(),
+                    other => panic!("{name}/{opt}: anchor bound to {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                explained,
+                matched,
+                "{name}/{opt}: explain's FIRES anchors differ from the matched anchors\n{}",
+                report.to_text()
+            );
+            fired += explained.len();
+        }
+    }
+    assert!(fired > 0, "no optimizer fired anywhere");
 }
 
 /// One pinned non-firing optimizer per workload: the explainer must

@@ -498,3 +498,94 @@ fn funnel_totals_are_matcher_independent() {
     let sampled = funnel_run(MatcherKind::Fused, 7);
     assert_eq!(fused, sampled, "trace sampling changed funnel totals");
 }
+
+// ---------------------------------------------------------------------------
+// The run ledger: one account, read by the report and the trace alike.
+// ---------------------------------------------------------------------------
+
+/// The counters a traced suite sequence records are the sums of the
+/// `ApplyReport`s the same runs return, and each run's `search.funnel`
+/// event carries the `funnel.<OPT>.<phase>` counts flushed with it.
+#[test]
+fn ledger_counters_match_the_reports_of_the_same_runs() {
+    let rec = Arc::new(Recorder::new());
+    let (mut applications, mut cost) = (0u64, genesis::Cost::zero());
+    let (mut dropped, mut added, mut pruned) = (0u64, 0u64, 0u64);
+    for (_name, prog) in gospel_workloads::suite() {
+        let mut s = Session::new(prog);
+        s.set_recorder(Some(rec.clone()));
+        let catalog = gospel_opts::catalog().expect("catalog generates");
+        let modes: Vec<(String, ApplyMode)> = catalog
+            .iter()
+            .map(|o| (o.name.clone(), natural_mode(o)))
+            .collect();
+        for opt in catalog {
+            s.register(opt);
+        }
+        for (name, mode) in &modes {
+            let report = s.apply(name, *mode).expect("catalog apply");
+            applications += report.applications as u64;
+            cost += report.cost;
+            dropped += report.dep_edges_dropped as u64;
+            added += report.dep_edges_added as u64;
+            pruned += report.candidates_pruned;
+        }
+    }
+    assert!(
+        applications > 0 && added > 0,
+        "the suite sequence must apply and refresh"
+    );
+    for (counter, reported) in [
+        ("driver.applications", applications),
+        ("cost.pattern_checks", cost.pattern_checks),
+        ("cost.dep_checks", cost.dep_checks),
+        ("cost.anchor_visits", cost.anchor_visits),
+        ("cost.transform_ops", cost.transform_ops),
+        ("dep.update.edges_dropped", dropped),
+        ("dep.update.edges_added", added),
+        ("search.candidates_pruned", pruned),
+    ] {
+        assert_eq!(rec.counter(counter), reported, "{counter}");
+    }
+
+    let events = rec.drain_events();
+    let mut runs = 0;
+    for (i, e) in events.iter().enumerate() {
+        if e.name != "search.funnel" {
+            continue;
+        }
+        runs += 1;
+        let Some(Value::Str(opt)) = e.field("optimizer") else {
+            panic!("search.funnel without an optimizer: {e:?}");
+        };
+        let prefix = format!("funnel.{opt}.");
+        // The run's counters follow its funnel event in the same flush;
+        // zero counts are not recorded.
+        let flushed: HashMap<&str, u64> = events[i + 1..]
+            .iter()
+            .take_while(|c| c.kind == EventKind::Counter)
+            .filter_map(|c| Some((c.name.as_ref().strip_prefix(&prefix)?, c.delta()?)))
+            .collect();
+        for phase in [
+            "classified",
+            "admitted",
+            "matched",
+            "dep_checked",
+            "applied",
+            "rolled_back",
+        ] {
+            let Some(Value::UInt(field)) = e.field(phase) else {
+                panic!("search.funnel {phase}: expected a uint in {e:?}");
+            };
+            assert_eq!(
+                flushed.get(phase).copied().unwrap_or(0),
+                *field,
+                "{opt} {phase}: the funnel event and its counter disagree"
+            );
+        }
+    }
+    assert!(
+        runs > 0,
+        "the suite sequence must emit search.funnel events"
+    );
+}
