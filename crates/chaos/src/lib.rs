@@ -33,7 +33,7 @@
 use genesis::{ApplyMode, CompiledOptimizer, FaultKind, FaultPlan, Session, SessionOptions};
 use genesis_guard::{GuardConfig, GuardOutcome, GuardStage, GuardedSession};
 use gospel_ir::Program;
-use gospel_trace::{write_json_string, MetricsSnapshot, Recorder};
+use gospel_trace::{write_json_string, Recorder};
 use gospel_workloads::generator::{self, GenConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -96,10 +96,6 @@ pub struct ScriptResult {
     /// Per step: whether its armed fault actually fired. A cell whose
     /// fault never fired is *not applicable* rather than passed.
     pub fired: Vec<bool>,
-    /// The cell's metric totals (counters and latency histograms),
-    /// snapshotted from its recorder so campaign-level rollups can
-    /// merge every cell into one service-style export.
-    pub metrics: MetricsSnapshot,
 }
 
 impl ScriptResult {
@@ -278,7 +274,6 @@ pub fn run_script(
             res.violations.push(format!("invalid JSONL event: {e}: {line}"));
         }
     }
-    res.metrics = rec.snapshot();
     res
 }
 
@@ -420,10 +415,6 @@ pub struct CampaignReport {
     pub kinds: BTreeMap<String, KindStats>,
     /// Every failing cell with its minimal reproduction.
     pub violations: Vec<Violation>,
-    /// The metric totals of every cell, merged into one rollup — the
-    /// campaign's service-style export ([`MetricsSnapshot::to_prometheus`]
-    /// renders it for a scrape endpoint or CI artifact).
-    pub metrics: MetricsSnapshot,
 }
 
 impl CampaignReport {
@@ -579,7 +570,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         not_applicable: 0,
         kinds: BTreeMap::new(),
         violations: Vec::new(),
-        metrics: MetricsSnapshot::default(),
     };
     for kind in &cfg.kinds {
         report.kinds.entry(kind.name().to_string()).or_default();
@@ -609,7 +599,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                     let res = run_script(prog, &optimizers, &guard, &steps);
 
                     report.cells += 1;
-                    report.metrics.merge(&res.metrics);
                     let st = report.kinds.entry(kind.name().to_string()).or_default();
                     st.cells += 1;
                     let fault_fired = res.fired.first().copied().unwrap_or(false);
@@ -689,11 +678,6 @@ mod tests {
         assert!(report.ok(), "violations: {:#?}", report.violations);
         assert_eq!(report.cells, 2 * 4);
         assert!(gospel_trace::json::validate(&report.to_json()).is_ok());
-        // The merged metric rollup spans every cell and renders as a
-        // Prometheus exposition.
-        assert!(report.metrics.counter("driver.attempts") > 0);
-        let prom = report.metrics.to_prometheus();
-        assert!(prom.contains("driver_attempts_total"), "{prom}");
     }
 
     #[test]

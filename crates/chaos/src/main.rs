@@ -2,13 +2,11 @@
 //!
 //! ```text
 //! genesis-chaos [--smoke] [--seed N] [--generated N] [--report FILE]
-//!               [--metrics FILE]
 //! ```
 //!
 //! Exits nonzero when any cell violated a recovery invariant; the
-//! per-kind summary goes to stdout, `--report` writes the full campaign
-//! report as JSON (the artifact CI uploads), and `--metrics` writes the
-//! merged per-cell metric rollup in the Prometheus text format.
+//! per-kind summary goes to stdout and `--report` writes the full
+//! campaign report as JSON (the artifact CI uploads).
 
 use genesis_chaos::{run_campaign, CampaignConfig};
 use std::process::ExitCode;
@@ -25,8 +23,6 @@ OPTIONS:
     --seed N         seed for the generated workloads (default: campaign seed)
     --generated N    number of seeded random workloads to add
     --report FILE    write the campaign report as JSON to FILE
-    --metrics FILE   write the merged metric rollup of every cell in the
-                     Prometheus text exposition format to FILE
     --help           print this help
 ";
 
@@ -42,7 +38,6 @@ fn main() -> ExitCode {
         CampaignConfig::full()
     };
     let mut report_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -62,10 +57,6 @@ fn main() -> ExitCode {
             },
             "--report" => match value("--report") {
                 Ok(p) => report_path = Some(p),
-                Err(e) => return usage_error(&e),
-            },
-            "--metrics" => match value("--metrics") {
-                Ok(p) => metrics_path = Some(p),
                 Err(e) => return usage_error(&e),
             },
             other => return usage_error(&format!("unknown option {other}")),
@@ -111,13 +102,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("report written to {path}");
-    }
-    if let Some(path) = metrics_path {
-        if let Err(e) = std::fs::write(&path, report.metrics.to_prometheus()) {
-            eprintln!("genesis-chaos: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
     }
     if report.ok() {
         ExitCode::SUCCESS

@@ -65,7 +65,7 @@ recovery paths. --no-degrade turns off the driver's degradation ladder
 (stale automaton → scan → full re-analysis) and restores hard failures.
 --matcher picks the candidate searcher: `fused` (default) dispatches the
 whole catalog through one shared anchor automaton, `scan` walks every
-statement (`GENESIS_MATCHER` sets the default).
+statement.
 --keep-going drives the remaining batch files past a failure; --retries
 and --file-timeout-ms bound each file's attempts; --report FILE writes
 the structured per-file batch report as JSON.
@@ -272,7 +272,7 @@ fn parse_session_options(args: &[String]) -> Result<SessionOptions, String> {
         None if flag(args, "--matcher") => {
             return Err("--matcher requires a value (fused|scan)".into())
         }
-        None => genesis::matcher_default(),
+        None => genesis::MatcherKind::Fused,
         Some(v) => genesis::MatcherKind::parse(&v)
             .ok_or_else(|| format!("--matcher: `{v}` is not one of fused|scan"))?,
     };

@@ -285,7 +285,7 @@ struct FusedEntry {
 ///
 /// [`classify`]: FusedAutomaton::reclassify
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AdmissionVerdict {
+pub enum AdmissionVerdict<'a> {
     /// The optimizer is not in the trie (loop anchor or unbounded
     /// opcode): admission does not narrow, every statement passes.
     NotFused,
@@ -295,7 +295,7 @@ pub enum AdmissionVerdict {
         /// The statement's opcode (`gospel_name`).
         got: &'static str,
         /// The anchor's admissible opcode set.
-        expected: Vec<&'static str>,
+        expected: &'a [&'static str],
     },
     /// The walk entered the opcode bucket but this discriminator edge —
     /// the first failing one on the optimizer's chain — rejected it.
@@ -313,7 +313,7 @@ pub enum AdmissionVerdict {
     Admitted,
 }
 
-impl AdmissionVerdict {
+impl AdmissionVerdict<'_> {
     /// The failing edge in GOSpeL concrete syntax, e.g.
     /// `type(opr_2) == const` — empty for the non-failure variants.
     pub fn edge(&self) -> String {
@@ -468,7 +468,7 @@ impl FusedAutomaton {
     /// bucket, or rejected by a specific discriminator edge (the first
     /// failing test on the optimizer's canonical chain). The explain
     /// engine turns the verdict into its `NotAdmitted` narrative.
-    pub fn explain_admission(&self, name: &str, quad: &Quad) -> AdmissionVerdict {
+    pub fn explain_admission(&self, name: &str, quad: &Quad) -> AdmissionVerdict<'_> {
         let Some(id) = self.opt_id(name) else {
             return AdmissionVerdict::NotFused;
         };
@@ -477,7 +477,7 @@ impl FusedAutomaton {
         if !entry.opcodes.contains(&got) {
             return AdmissionVerdict::OpcodeMiss {
                 got,
-                expected: entry.opcodes.clone(),
+                expected: &entry.opcodes,
             };
         }
         let cls = [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)];
@@ -854,7 +854,7 @@ mod tests {
             auto.explain_admission("A", p.quad(w)),
             AdmissionVerdict::OpcodeMiss {
                 got: "write",
-                expected: vec!["assign"],
+                expected: &["assign"],
             }
         );
         // Unfused and unknown optimizers do not narrow.

@@ -9,7 +9,7 @@ use crate::cost::Cost;
 use crate::error::RunError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::rt::Bindings;
-use crate::solve::{SearchTally, Searcher};
+use crate::solve::{SearchTally, Searcher, StrategyLog};
 use gospel_dep::{DepGraph, DepUpdate, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
 use gospel_trace::{Name, Recorder, Span, Value};
@@ -139,9 +139,8 @@ pub struct Driver<'o> {
     /// caller usually derives it as k× the original program size.
     pub max_stmts: Option<usize>,
     /// Which candidate-enumeration machinery to search with — the fused
-    /// catalog automaton or full program scans. Identical bindings in
-    /// either mode; defaults from [`matcher_default`]
-    /// (`GENESIS_MATCHER`). The automaton is only consulted while
+    /// catalog automaton (the default) or full program scans. Identical
+    /// bindings in either mode. The automaton is only consulted while
     /// `recompute_deps` keeps program order fresh.
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
@@ -186,7 +185,7 @@ impl<'o> Driver<'o> {
             timeout_ms: None,
             fuel: None,
             max_stmts: None,
-            matcher: matcher_default(),
+            matcher: MatcherKind::Fused,
             degraded_recovery: false,
             fault: None,
             recorder: None,
@@ -227,12 +226,12 @@ impl<'o> Driver<'o> {
     /// Returns [`RunError`] if the search fails (e.g. a malformed
     /// dependence atom).
     pub fn matches_with(&self, prog: &Program, deps: &DepGraph) -> Result<MatchSet, RunError> {
-        let mut s = Searcher::new(prog, deps, self.opt);
+        let mut s = Searcher::with_verdicts(prog, deps, self.opt, StrategyLog::default());
         let bindings = s.find_all(usize::MAX)?;
         Ok(MatchSet {
             bindings,
             cost: s.tally.cost,
-            strategies_used: s.strategies_used,
+            strategies_used: s.verdicts.0,
         })
     }
 
@@ -737,19 +736,6 @@ impl<'o> Driver<'o> {
         caches.automaton = auto.take();
         Ok(totals.report())
     }
-}
-
-/// The session-wide default for [`Driver::matcher`]: `GENESIS_MATCHER`
-/// (`fused`/`scan`) when set to a recognized value, else fused. Read
-/// once per process; the CI differential suite runs both settings.
-pub fn matcher_default() -> MatcherKind {
-    static DEFAULT: std::sync::OnceLock<MatcherKind> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("GENESIS_MATCHER")
-            .ok()
-            .and_then(|v| MatcherKind::parse(&v))
-            .unwrap_or(MatcherKind::Fused)
-    })
 }
 
 fn analyze(prog: &Program) -> Result<DepGraph, RunError> {

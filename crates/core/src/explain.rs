@@ -36,6 +36,7 @@ use gospel_ir::{LoopTable, Program, StmtId};
 use gospel_lang::ast::{BoolExpr, Quant};
 use gospel_lang::{pretty_bool, pretty_depend_clause, pretty_pattern_clause};
 use std::fmt;
+use std::sync::Arc;
 
 /// The first gate that killed one anchor candidate, with the exact
 /// discriminator that failed.
@@ -45,8 +46,9 @@ pub enum Blocker {
     OpcodeMiss {
         /// The statement's opcode.
         got: String,
-        /// The anchor's admissible opcode set.
-        expected: Vec<String>,
+        /// The anchor's admissible opcode set, shared by every candidate
+        /// of one explain call.
+        expected: Arc<[String]>,
     },
     /// A discriminator edge on the automaton's trie path rejected the
     /// statement.
@@ -288,8 +290,7 @@ pub fn explain(
     s.find_all(usize::MAX)?;
     let visits = std::mem::take(&mut s.verdicts.0);
     let mut candidates = Vec::with_capacity(visits.len());
-    // Each clause's text, rendered for the first candidate it blocks.
-    let mut texts = Vec::new();
+    let mut rendered = Rendered::default();
     for visit in &visits {
         candidates.push(CandidateExplanation {
             anchor: render_candidate(prog, &visit.cand),
@@ -297,7 +298,7 @@ pub fn explain(
                 Elem::Stmt(st) => Some(st),
                 Elem::Loop(_) => None,
             },
-            blocker: blocker(&mut s, auto, visit, &mut texts)?,
+            blocker: blocker(&mut s, auto, visit, &mut rendered)?,
         });
     }
     Ok(ExplainReport {
@@ -308,25 +309,35 @@ pub fn explain(
     })
 }
 
+/// Text one explain call renders once and shares among the candidates
+/// it blocks.
+#[derive(Default)]
+struct Rendered {
+    /// Each clause's text, rendered for the first candidate it blocks.
+    clauses: Vec<Option<String>>,
+    /// The anchor's admissible opcode set, built for the first candidate
+    /// outside it.
+    opcodes: Option<Arc<[String]>>,
+}
+
 /// The gate that blocked one visited anchor candidate; `None` when one
-/// of its bindings satisfies the whole precondition. `texts` caches the
-/// clauses' rendered text.
+/// of its bindings satisfies the whole precondition.
 fn blocker(
     s: &mut Searcher<'_, Visits>,
     auto: &FusedAutomaton,
     visit: &Visit,
-    texts: &mut Vec<Option<String>>,
+    rendered: &mut Rendered,
 ) -> Result<Option<Blocker>, RunError> {
     let (opt, d) = (s.opt, visit.depth);
     let (np, clauses) = (opt.patterns.len(), opt.patterns.len() + opt.depends.len());
     if d == 0 {
-        return anchor_blocker(s, auto, &visit.cand);
+        return anchor_blocker(s, auto, &visit.cand, &mut rendered.opcodes);
     }
     if d == clauses {
         return Ok(None); // past the last clause: a binding completed
     }
-    texts.resize(clauses, None);
-    let clause_text = texts[d]
+    rendered.clauses.resize(clauses, None);
+    let clause_text = rendered.clauses[d]
         .get_or_insert_with(|| match opt.patterns.get(d) {
             Some((clause, _)) => pretty_pattern_clause(clause),
             None => pretty_depend_clause(&opt.depends[d - np].clause),
@@ -371,20 +382,25 @@ fn blocker(
 /// Why an anchor candidate's format failed: the automaton's admission
 /// verdict when it rejects the statement, else the first false conjunct,
 /// evaluated with the anchor's variables bound in the search
-/// environment (empty once the search has finished).
+/// environment (empty once the search has finished). `opcodes` caches
+/// the anchor's opcode set once rendered.
 fn anchor_blocker(
     s: &mut Searcher<'_, Visits>,
     auto: &FusedAutomaton,
     cand: &Cand,
+    opcodes: &mut Option<Arc<[String]>>,
 ) -> Result<Option<Blocker>, RunError> {
     let (prog, opt) = (s.prog, s.opt);
     if let Elem::Stmt(st) = cand.0 {
         match auto.explain_admission(&opt.name, prog.quad(st)) {
             AdmissionVerdict::OpcodeMiss { got, expected } => {
+                let expected = opcodes
+                    .get_or_insert_with(|| expected.iter().map(|&e| e.to_owned()).collect())
+                    .clone();
                 return Ok(Some(Blocker::OpcodeMiss {
                     got: got.to_owned(),
-                    expected: expected.iter().map(|&e| e.to_owned()).collect(),
-                }))
+                    expected,
+                }));
             }
             v @ AdmissionVerdict::EdgeFailed { actual, .. } => {
                 return Ok(Some(Blocker::EdgeFailed {
@@ -515,7 +531,7 @@ mod tests {
             report.candidates[2].blocker,
             Some(Blocker::OpcodeMiss {
                 got: "write".into(),
-                expected: vec!["assign".into()],
+                expected: Arc::from(["assign".to_string()]),
             })
         );
         assert_eq!(report.fired(), 1);

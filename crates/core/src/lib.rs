@@ -66,7 +66,7 @@ pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, Ba
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;
-pub use driver::{matcher_default, ApplyMode, ApplyReport, Driver, MatchSet, MatcherKind};
+pub use driver::{ApplyMode, ApplyReport, Driver, MatchSet, MatcherKind};
 pub use error::{GenerateError, RunError};
 pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport};
 pub use fault::{FaultKind, FaultPlan};

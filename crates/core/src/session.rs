@@ -38,9 +38,7 @@ pub struct SessionOptions {
     pub max_growth: Option<u32>,
     /// Which candidate-enumeration machinery drives searches — the fused
     /// catalog automaton or full scans (see [`MatcherKind`]); bindings
-    /// are identical in either mode. Defaults from
-    /// [`crate::matcher_default`] (the `GENESIS_MATCHER` environment
-    /// variable).
+    /// are identical in either mode. Defaults to the fused automaton.
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
     /// trouble (see [`crate::Driver::degraded_recovery`]). On by default
@@ -65,7 +63,7 @@ impl Default for SessionOptions {
             timeout_ms: None,
             fuel: None,
             max_growth: None,
-            matcher: crate::driver::matcher_default(),
+            matcher: MatcherKind::Fused,
             degraded_recovery: true,
             trace_sample: 1,
         }

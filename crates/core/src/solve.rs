@@ -549,8 +549,10 @@ impl SearchTally {
 
 /// Where the searcher reports what each gate decided, for callers that
 /// attribute failure instead of collecting bindings (the explain
-/// engine). Clause indices count the pattern clauses, then the Depend
-/// clauses; index `patterns + depends` is a full binding.
+/// engine), and which strategy solved each Depend clause (the strategy
+/// log of [`crate::MatchSet`]). Clause indices count the pattern
+/// clauses, then the Depend clauses; index `patterns + depends` is a
+/// full binding.
 pub(crate) trait VerdictSink {
     /// An anchor candidate is about to be visited; `admitted` says
     /// whether it is in the anchor's admission set, outside which its
@@ -565,6 +567,8 @@ pub(crate) trait VerdictSink {
     /// `no` Depend clause `idx` killed the binding: `solution` is its
     /// first solution row.
     fn dep_forbidden(&mut self, _idx: usize, _solution: &[Option<RtVal>]) {}
+    /// A Depend clause is about to be solved with `strategy`.
+    fn strategy(&mut self, _strategy: Strategy) {}
 }
 
 /// The sink of ordinary searches: every report compiles to nothing.
@@ -572,9 +576,20 @@ pub(crate) struct NoVerdicts;
 
 impl VerdictSink for NoVerdicts {}
 
+/// The sink of [`crate::Driver::matches_with`]: which strategy each
+/// Depend clause used, in evaluation order (introspection for the
+/// strategy experiments).
+#[derive(Default)]
+pub(crate) struct StrategyLog(pub Vec<Strategy>);
+
+impl VerdictSink for StrategyLog {
+    fn strategy(&mut self, strategy: Strategy) {
+        self.0.push(strategy);
+    }
+}
+
 /// One precondition search over a program snapshot. Owns the pass's
-/// [`SearchTally`] and the per-clause strategy log used by the §4
-/// experiments, and reports gate decisions to `verdicts`.
+/// [`SearchTally`] and reports gate decisions to `verdicts`.
 pub(crate) struct Searcher<'a, V = NoVerdicts> {
     pub prog: &'a Program,
     pub deps: &'a DepGraph,
@@ -595,9 +610,6 @@ pub(crate) struct Searcher<'a, V = NoVerdicts> {
     pub stop_before: Option<StmtId>,
     /// Skip the Depend section ("override dependence restrictions").
     pub ignore_depends: bool,
-    /// Which strategy each Depend clause actually used, in evaluation
-    /// order (introspection for the strategy experiments).
-    pub strategies_used: Vec<Strategy>,
     /// The catalog-wide fused automaton and this optimizer's id in it,
     /// when the driver runs the fused matcher and the automaton fuses
     /// this optimizer's anchor. The top rung of the degradation ladder:
@@ -675,7 +687,6 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
             resume_from: None,
             stop_before: None,
             ignore_depends: false,
-            strategies_used: Vec::new(),
             fused: None,
             time_pattern: false,
             tally: SearchTally {
@@ -1155,7 +1166,7 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
         let opt = self.opt;
         let cc = &opt.depends[di];
         let strategy = self.pick_strategy(di);
-        self.strategies_used.push(strategy);
+        self.verdicts.strategy(strategy);
         sols.reset(cc.slots.row.len());
         match strategy {
             Strategy::MembersFirst => self.solve_members_first(&cc.slots, sols),
@@ -1927,10 +1938,10 @@ END
         let (p, d) = world(src);
         for strat in [Strategy::MembersFirst, Strategy::DepsFirst] {
             let opt = base.with_strategy(strat);
-            let mut s = Searcher::new(&p, &d, &opt);
+            let mut s = Searcher::with_verdicts(&p, &d, &opt, StrategyLog::default());
             let found = s.find_first().unwrap();
             assert!(found.is_some(), "{strat:?} found nothing");
-            assert_eq!(s.strategies_used, vec![strat]);
+            assert_eq!(s.verdicts.0, vec![strat]);
         }
         // …and their costs differ (the E6 effect, in miniature)
         let cost_of = |strat| {

@@ -434,7 +434,7 @@ impl HistogramSnapshot {
     }
 
     /// Folds another snapshot into this one bucket-wise — the histogram
-    /// half of recorder merging and [`MetricsSnapshot::merge`].
+    /// half of recorder merging.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.min = match (self.count, other.count) {
             (_, 0) => self.min,
@@ -450,11 +450,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time, mergeable export of a recorder's metric totals —
-/// counters and histograms without the event stream. Batch workers and
-/// chaos cells each take a snapshot, merge them, and expose one rollup;
-/// [`MetricsSnapshot::to_prometheus`] renders the text exposition format
-/// a scrape endpoint serves.
+/// A point-in-time copy of a recorder's metric totals — counters and
+/// histograms without the event stream.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals, sorted by name.
@@ -472,82 +469,6 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
             .unwrap_or(0)
     }
-
-    /// Folds `other` into this snapshot: counters add, histograms merge
-    /// bucket-wise. Order-independent, so any merge tree over workers
-    /// produces the same rollup.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, total) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => self.counters[i].1 = self.counters[i].1.saturating_add(*total),
-                Err(i) => self.counters.insert(i, (name.clone(), *total)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => self.histograms[i].1.merge(h),
-                Err(i) => self.histograms.insert(i, (name.clone(), *h)),
-            }
-        }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// Dots and other non-metric characters in names become `_`;
-    /// counters get a `_total` suffix, histograms emit cumulative
-    /// `_bucket{le="..."}` series plus `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, total) in &self.counters {
-            let m = prom_name(name);
-            let _ = writeln!(out, "# TYPE {m}_total counter");
-            let _ = writeln!(out, "{m}_total {total}");
-        }
-        for (name, h) in &self.histograms {
-            let m = prom_name(name);
-            let _ = writeln!(out, "# TYPE {m} histogram");
-            let mut cumulative = 0u64;
-            let top = h
-                .buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            for (i, &n) in h.buckets.iter().take(top).enumerate() {
-                cumulative += n;
-                let le: u64 = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
-                let _ = writeln!(out, "{m}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{m}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{m}_sum {}", h.sum);
-            let _ = writeln!(out, "{m}_count {}", h.count);
-        }
-        out
-    }
-}
-
-/// Maps an event-vocabulary name (`driver.attempts`) onto a legal
-/// Prometheus metric name (`driver_attempts`).
-fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out
-        .chars()
-        .next()
-        .map(|c| c.is_ascii_digit())
-        .unwrap_or(true)
-    {
-        out.insert(0, '_');
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -791,8 +712,7 @@ mod imp {
             }
         }
 
-        /// A point-in-time copy of every counter and histogram total —
-        /// the mergeable, exportable form of this recorder's metrics.
+        /// A point-in-time copy of every counter and histogram total.
         pub fn snapshot(&self) -> MetricsSnapshot {
             let mut inner = self.lock();
             inner.settle();
@@ -1502,19 +1422,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_merge_and_expose_prometheus() {
-        let a = Recorder::new();
-        a.add("driver.attempts", 3);
-        a.observe("driver.search_ns", 100);
-        let b = Recorder::new();
-        b.add("driver.attempts", 2);
-        b.add("guard.rollbacks", 1);
-        b.observe("driver.search_ns", 300);
-
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
+    fn snapshots_copy_counter_and_histogram_totals() {
+        let rec = Recorder::new();
+        rec.add("driver.attempts", 3);
+        rec.add("driver.attempts", 2);
+        rec.observe("driver.search_ns", 100);
+        rec.observe("driver.search_ns", 300);
+        let snap = rec.snapshot();
         assert_eq!(snap.counter("driver.attempts"), 5);
-        assert_eq!(snap.counter("guard.rollbacks"), 1);
         assert_eq!(snap.counter("never.seen"), 0);
         let (_, h) = snap
             .histograms
@@ -1523,24 +1438,6 @@ mod tests {
             .unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 400);
-
-        // Merging is order-independent.
-        let mut other = b.snapshot();
-        other.merge(&a.snapshot());
-        assert_eq!(other.counter("driver.attempts"), 5);
-
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE driver_attempts_total counter"), "{prom}");
-        assert!(prom.contains("driver_attempts_total 5"), "{prom}");
-        assert!(prom.contains("# TYPE driver_search_ns histogram"), "{prom}");
-        assert!(prom.contains("driver_search_ns_bucket{le=\"+Inf\"} 2"), "{prom}");
-        assert!(prom.contains("driver_search_ns_sum 400"), "{prom}");
-        assert!(prom.contains("driver_search_ns_count 2"), "{prom}");
-        // Exposition names never contain dots.
-        for line in prom.lines().filter(|l| !l.starts_with('#')) {
-            let name = line.split([' ', '{']).next().unwrap();
-            assert!(!name.contains('.'), "unsanitized metric name: {line}");
-        }
     }
 
     #[test]

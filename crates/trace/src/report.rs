@@ -3,8 +3,8 @@
 //! wall-clock attribution by phase, per-optimizer match funnels,
 //! interpolated latency quantiles, and degradation/retry/parole
 //! incidence — and diffs two reports for regression gating. The CLI
-//! `report` subcommand and CI both drive this module, so BENCH files
-//! and pull-request gates share one comparison engine.
+//! `report --baseline` and `gospel-bench`'s timing gates both decide
+//! through [`compare_metrics`], so every numeric gate shares one rule.
 
 use crate::json::{self, Json};
 use crate::{write_json_string, HistogramSnapshot};
@@ -480,10 +480,9 @@ impl std::fmt::Display for Regression {
 }
 
 /// Diffs `current` against a baseline report (the [`Report::to_json`]
-/// format). Only metrics present in **both** reports are compared, so a
-/// baseline pruned down to deterministic counters gates exactly those.
-/// Keys ending in `_ns` regress only upward (slower); all other keys
-/// regress on drift in either direction past `threshold_pct`.
+/// format) under the rule of [`compare_metrics`]. Only metrics present
+/// in **both** reports are compared, so a baseline pruned down to
+/// deterministic counters gates exactly those.
 ///
 /// # Errors
 ///
@@ -498,11 +497,34 @@ pub fn compare(
         .get("metrics")
         .and_then(Json::members)
         .ok_or_else(|| "baseline: no `metrics` object".to_string())?;
-    let ours = current.metrics();
+    let baseline: BTreeMap<String, u64> = metrics
+        .iter()
+        .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+        .collect();
+    Ok(compare_metrics(
+        &current.metrics(),
+        &baseline,
+        threshold_pct,
+    ))
+}
+
+/// The one regression rule every numeric gate uses: `trace report
+/// --baseline` over trace metrics, and `gospel-bench` over its timed
+/// arms. Compares the keys present in both maps; a key ending in `_ns`
+/// regresses only upward (slower), any other key on drift in either
+/// direction, and a change regresses when it is strictly greater than
+/// `threshold_pct` percent of the baseline (from a zero baseline, any
+/// nonzero value). Largest change first.
+pub fn compare_metrics(
+    current: &BTreeMap<String, u64>,
+    baseline: &BTreeMap<String, u64>,
+    threshold_pct: f64,
+) -> Vec<Regression> {
     let mut regressions = Vec::new();
-    for (key, value) in metrics {
-        let Some(base) = value.as_u64() else { continue };
-        let Some(&cur) = ours.get(key) else { continue };
+    for (key, &base) in baseline {
+        let Some(&cur) = current.get(key) else {
+            continue;
+        };
         let time_metric = key.ends_with("_ns");
         let change_pct = if base == 0 {
             if cur == 0 {
@@ -511,7 +533,9 @@ pub fn compare(
                 f64::INFINITY
             }
         } else {
-            (cur as f64 - base as f64) / base as f64 * 100.0
+            // Scaling before dividing keeps an exact percentage exact,
+            // so a change of exactly the threshold passes.
+            (cur as f64 - base as f64) * 100.0 / base as f64
         };
         let over = change_pct > threshold_pct;
         let under = !time_metric && change_pct < -threshold_pct;
@@ -524,13 +548,8 @@ pub fn compare(
             });
         }
     }
-    regressions.sort_by(|a, b| {
-        b.change_pct
-            .abs()
-            .partial_cmp(&a.change_pct.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(regressions)
+    regressions.sort_by(|a, b| b.change_pct.abs().total_cmp(&a.change_pct.abs()));
+    regressions
 }
 
 #[cfg(test)]
@@ -657,6 +676,98 @@ mod tests {
         // A pruned baseline gating only on one deterministic counter.
         let baseline = r#"{"metrics":{"funnel.CTP.applied":1,"not.a.metric":99}}"#;
         assert!(compare(&base, baseline, 5.0).unwrap().is_empty());
+    }
+
+    fn map(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    fn flagged(current: &[(&str, u64)], baseline: &[(&str, u64)], pct: f64) -> Vec<String> {
+        compare_metrics(&map(current), &map(baseline), pct)
+            .into_iter()
+            .map(|r| r.metric)
+            .collect()
+    }
+
+    #[test]
+    fn compare_metrics_pins_the_rule_at_its_boundaries() {
+        // Threshold 0: an equal time passes, one nanosecond more fails,
+        // and a faster time never does.
+        assert!(flagged(&[("a_ns", 1000)], &[("a_ns", 1000)], 0.0).is_empty());
+        assert_eq!(flagged(&[("a_ns", 1001)], &[("a_ns", 1000)], 0.0), ["a_ns"]);
+        assert!(flagged(&[("a_ns", 999)], &[("a_ns", 1000)], 0.0).is_empty());
+        // A change of exactly the threshold passes; past it fails.
+        assert!(flagged(&[("a_ns", 1050)], &[("a_ns", 1000)], 5.0).is_empty());
+        assert_eq!(flagged(&[("a_ns", 1051)], &[("a_ns", 1000)], 5.0), ["a_ns"]);
+        // A count drifting by one either way fails.
+        for drifted in [999, 1001] {
+            assert_eq!(flagged(&[("n", drifted)], &[("n", 1000)], 0.0), ["n"]);
+        }
+        assert_eq!(flagged(&[("n", 9)], &[("n", 10)], 5.0), ["n"]);
+        assert_eq!(flagged(&[("n", 11)], &[("n", 10)], 5.0), ["n"]);
+        // From a zero baseline any nonzero value fails, at any threshold.
+        for key in ["n", "a_ns"] {
+            assert_eq!(flagged(&[(key, 1)], &[(key, 0)], 1e9), [key]);
+            assert!(flagged(&[(key, 0)], &[(key, 0)], 0.0).is_empty());
+        }
+        // Keys missing from either side are not compared; the largest
+        // change comes first.
+        assert_eq!(
+            flagged(
+                &[("a_ns", 110), ("b_ns", 300), ("c", 1)],
+                &[("a_ns", 100), ("b_ns", 100), ("d", 1)],
+                5.0
+            ),
+            ["b_ns", "a_ns"]
+        );
+    }
+
+    #[test]
+    fn compare_is_compare_metrics_over_the_parsed_baseline() {
+        let base = Report::build(&[sample_trace()]);
+        let mut slow = base.clone();
+        slow.match_ns += 7;
+        for f in &mut slow.funnels {
+            for (_, v) in &mut f.phases {
+                *v += 1;
+            }
+        }
+        for pct in [0.0, 5.0, 20.0] {
+            let via_json: Vec<String> = compare(&slow, &base.to_json(), pct)
+                .unwrap()
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            let direct: Vec<String> = compare_metrics(&slow.metrics(), &base.metrics(), pct)
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            assert_eq!(via_json, direct, "threshold {pct}");
+            assert!(!direct.is_empty(), "threshold {pct}");
+        }
+    }
+
+    /// An attempt span with a `dep.update` child of `dep_ns`; the
+    /// attempt's own self time is 70 ns whatever `dep_ns` is.
+    fn attempt_with_dep_update(dep_ns: u64) -> Vec<ParsedEvent> {
+        let total = 70 + dep_ns;
+        parse_trace(&format!(
+            r#"{{"seq":0,"ts_ns":0,"type":"span_open","name":"driver.attempt","span":1}}
+{{"seq":1,"ts_ns":10,"type":"span_open","name":"dep.update","span":2}}
+{{"seq":2,"ts_ns":20,"type":"span_close","name":"dep.update","span":2,"fields":{{"elapsed_ns":{dep_ns}}}}}
+{{"seq":3,"ts_ns":30,"type":"span_close","name":"driver.attempt","span":1,"fields":{{"search_ns":50,"pattern_ns":20,"elapsed_ns":{total}}}}}
+{{"seq":4,"ts_ns":30,"type":"counter","name":"funnel.CTP.applied","value":1,"delta":1}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_slower_layer_is_located_by_its_self_time() {
+        let base = Report::build(&[attempt_with_dep_update(30)]);
+        let slow = Report::build(&[attempt_with_dep_update(300)]);
+        let regs = compare_metrics(&slow.metrics(), &base.metrics(), 5.0);
+        let names: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(names, ["phase.dep.update.self_ns"], "{regs:?}");
     }
 
     #[test]

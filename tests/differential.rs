@@ -8,8 +8,11 @@
 //! runs must produce the same program text, the same application count,
 //! dependence graphs that agree with a from-scratch analysis, and the
 //! same execution outputs on a deterministic battery of input vectors.
+//! Every check runs once per matcher: the suite must agree with itself
+//! no matter how anchor candidates are enumerated — fused automaton or
+//! the plain scan.
 
-use genesis::{ApplyMode, CompiledOptimizer, Driver};
+use genesis::{ApplyMode, CompiledOptimizer, Driver, MatcherKind};
 use gospel_dep::DepGraph;
 use gospel_exec::{run_limited, ExecValue, Trace};
 use gospel_ir::{DisplayProgram, Program};
@@ -24,6 +27,8 @@ const STEP_LIMIT: u64 = 2_000_000;
 /// generator reaches shapes (deep expression nests, array aliasing
 /// patterns) the hand-written workloads do not.
 const GENERATED: u64 = 4;
+/// Both candidate matchers; each test runs under every one.
+const MATCHERS: [MatcherKind; 2] = [MatcherKind::Fused, MatcherKind::Scan];
 
 /// The differential corpus: the ten fixed workloads plus `GENERATED`
 /// seeded random programs.
@@ -43,18 +48,33 @@ fn workloads() -> Vec<(String, Program)> {
     all
 }
 
-/// Runs `opt` to fixpoint on a copy of `prog`, returning the optimized
-/// program, how many times the actions fired, and the cached dependence
-/// graph if the driver kept it current.
+/// Every (matcher, workload) pair, the workload's name labelled with
+/// its matcher.
+fn cases() -> Vec<(MatcherKind, String, Program)> {
+    MATCHERS
+        .into_iter()
+        .flat_map(|m| {
+            workloads()
+                .into_iter()
+                .map(move |(name, prog)| (m, format!("{name} ({})", m.as_str()), prog))
+        })
+        .collect()
+}
+
+/// Runs `opt` to fixpoint on a copy of `prog` under `matcher`, returning
+/// the optimized program, how many times the actions fired, and the
+/// cached dependence graph if the driver kept it current.
 fn run_mode(
     prog: &Program,
     opt: &CompiledOptimizer,
     mode: ApplyMode,
+    matcher: MatcherKind,
     incremental: bool,
 ) -> (Program, usize, Option<DepGraph>) {
     let mut work = prog.clone();
     let mut cache = None;
     let mut d = Driver::new(opt);
+    d.matcher = matcher;
     d.incremental_deps = incremental;
     let report = d
         .apply_cached(&mut work, mode, &mut cache)
@@ -103,11 +123,11 @@ fn assert_same_exec(wname: &str, oname: &str, full: &Program, incr: &Program) {
 #[test]
 fn full_and_incremental_drivers_agree_on_every_optimizer_and_workload() {
     let opts = gospel_opts::catalog().expect("catalog generates");
-    for (wname, prog) in workloads() {
+    for (matcher, wname, prog) in cases() {
         for opt in &opts {
             let mode = natural_mode(opt);
-            let (full, apps_f, cache_f) = run_mode(&prog, opt, mode, false);
-            let (incr, apps_i, cache_i) = run_mode(&prog, opt, mode, true);
+            let (full, apps_f, cache_f) = run_mode(&prog, opt, mode, matcher, false);
+            let (incr, apps_i, cache_i) = run_mode(&prog, opt, mode, matcher, true);
 
             let ftext = DisplayProgram(&full).to_string();
             let itext = DisplayProgram(&incr).to_string();
@@ -150,12 +170,13 @@ fn full_and_incremental_drivers_agree_on_every_optimizer_and_workload() {
 #[test]
 fn chained_catalog_sequence_is_mode_independent() {
     let opts = gospel_opts::catalog().expect("catalog generates");
-    for (wname, prog) in workloads() {
+    for (matcher, wname, prog) in cases() {
         let run_chain = |incremental: bool| -> Program {
             let mut work = prog.clone();
             let mut cache = None;
             for opt in &opts {
                 let mut d = Driver::new(opt);
+                d.matcher = matcher;
                 d.incremental_deps = incremental;
                 d.apply_cached(&mut work, natural_mode(opt), &mut cache)
                     .unwrap_or_else(|e| panic!("{wname}/{}: {e}", opt.name));
