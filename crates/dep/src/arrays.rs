@@ -32,43 +32,31 @@ struct ArrayRef<'p> {
     is_write: bool,
 }
 
-/// Computes all array data dependence edges.
-#[cfg(test)]
-pub(crate) fn array_deps(prog: &Program, loops: &LoopTable) -> Vec<DepEdge> {
-    array_deps_filtered(prog, loops, &crate::build::dense_order(prog), None)
-}
-
-/// Array dependence edges restricted to arrays in `only` (all arrays when
-/// `None`). Every array edge joins two references to the *same* array —
-/// including the fusion-preview edges — so dropping the references of
-/// other arrays cannot change the edges of a kept array. `order` is the
-/// caller's dense order table, shared across the passes of one update.
-pub(crate) fn array_deps_filtered(
-    prog: &Program,
-    loops: &LoopTable,
-    order: &[u32],
-    only: Option<&SymSet>,
-) -> Vec<DepEdge> {
-    array_deps_scoped(prog, loops, order, only, |_, _| true, |_, _| true)
+/// Computes all array data dependence edges; `order` is the caller's
+/// dense order table.
+pub(crate) fn array_deps(prog: &Program, loops: &LoopTable, order: &[u32]) -> Vec<DepEdge> {
+    array_deps_scoped(prog, loops, order, None, |_, _| true, |_, _, _| true)
 }
 
 /// A reference's site: its statement and operand slot — the endpoint an
 /// edge derived from the reference carries.
 pub(crate) type Site = (StmtId, OperandPos);
 
-/// [`array_deps_filtered`] restricted further to the reference pairs
-/// `pair` accepts (ordinary subscript tests) and `preview` accepts
-/// (fusion-preview tests, first-loop reference first). Each edge is a
-/// function of its own pair alone, so the edges produced are exactly the
-/// unrestricted analysis's edges derived from the accepted pairs. Both
-/// predicates must be symmetric in their arguments.
+/// Array dependence edges restricted to arrays in `only` (all arrays when
+/// `None`), to the reference pairs `pair` accepts (ordinary subscript
+/// tests) and to those `preview` accepts (fusion-preview tests, given
+/// the adjacent loop pair and the first-loop reference first). Every
+/// array edge — previews included — joins two references to the *same*
+/// array, and each edge is a function of its own pair alone, so the edges
+/// produced are exactly the unrestricted analysis's edges derived from
+/// the accepted pairs. `pair` must be symmetric in its arguments.
 pub(crate) fn array_deps_scoped(
     prog: &Program,
     loops: &LoopTable,
     order: &[u32],
     only: Option<&SymSet>,
     pair: impl Fn(Site, Site) -> bool,
-    preview: impl Fn(Site, Site) -> bool,
+    preview: impl Fn((LoopId, LoopId), Site, Site) -> bool,
 ) -> Vec<DepEdge> {
     let refs = collect_refs(prog, |a| only.is_none_or(|arrays| arrays.contains(a)));
     let mut edges = Vec::new();
@@ -103,7 +91,7 @@ pub(crate) fn array_deps_scoped(
         }
     }
     fusion_preview_deps(
-        prog, loops, &all_lcvs, &mut nest, &refs, &preview, &mut edges,
+        prog, loops, order, &all_lcvs, &mut nest, &refs, &preview, &mut edges,
     );
     edges
 }
@@ -117,13 +105,15 @@ pub(crate) fn array_deps_scoped(
 /// *after* fusion, oriented textually (first-loop reference → second-loop
 /// reference). A `>` at the aligned level is the fusion-preventing
 /// direction loop fusion tests for.
+#[allow(clippy::too_many_arguments)]
 fn fusion_preview_deps(
     prog: &Program,
     loops: &LoopTable,
+    order: &[u32],
     all_lcvs: &[Sym],
     nest: &mut Nest,
     refs: &[ArrayRef<'_>],
-    keep: impl Fn(Site, Site) -> bool,
+    keep: impl Fn((LoopId, LoopId), Site, Site) -> bool,
     edges: &mut Vec<DepEdge>,
 ) {
     for (l1, l2) in loops.adjacent_pairs(prog) {
@@ -138,9 +128,9 @@ fn fusion_preview_deps(
         nest.loops.push(l1);
         nest.load(loops);
 
-        for a in refs.iter().filter(|r| loops.contains(l1, r.stmt)) {
-            for b in refs.iter().filter(|r| loops.contains(l2, r.stmt)) {
-                if a.array != b.array || (!a.is_write && !b.is_write) || !keep(a.site(), b.site()) {
+        for a in body_refs(loops, order, refs, l1) {
+            for b in body_refs(loops, order, refs, l2) {
+                if a.array != b.array || (!a.is_write && !b.is_write) || !keep((l1, l2), a.site(), b.site()) {
                     continue;
                 }
                 // Align the second loop's control variable with the first's.
@@ -177,6 +167,21 @@ fn fusion_preview_deps(
             }
         }
     }
+}
+
+/// The references in loop `l`'s body: a body is a contiguous run of the
+/// program, and `refs` are in program order, so they form one slice.
+fn body_refs<'r, 'p>(
+    loops: &LoopTable,
+    order: &[u32],
+    refs: &'r [ArrayRef<'p>],
+    l: LoopId,
+) -> &'r [ArrayRef<'p>] {
+    let info = loops.get(l);
+    let (head, end) = (order[info.head.index()], order[info.end.index()]);
+    let lo = refs.partition_point(|r| order[r.stmt.index()] <= head);
+    let hi = refs.partition_point(|r| order[r.stmt.index()] < end);
+    &refs[lo..hi.max(lo)]
 }
 
 impl ArrayRef<'_> {
@@ -480,7 +485,7 @@ mod tests {
     fn deps(src: &str) -> (Program, Vec<DepEdge>) {
         let p = compile(src).unwrap();
         let loops = LoopTable::of(&p).unwrap();
-        let e = array_deps(&p, &loops);
+        let e = array_deps(&p, &loops, &crate::build::dense_order(&p));
         (p, e)
     }
 
@@ -629,7 +634,7 @@ mod fusion_tests {
     fn deps(src: &str) -> Vec<DepEdge> {
         let p = compile(src).unwrap();
         let loops = LoopTable::of(&p).unwrap();
-        array_deps(&p, &loops)
+        array_deps(&p, &loops, &crate::build::dense_order(&p))
     }
 
     #[test]

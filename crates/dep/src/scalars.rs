@@ -41,14 +41,16 @@ struct Emitter {
 /// Computes all scalar data dependence edges.
 #[cfg(test)]
 pub(crate) fn scalar_deps(prog: &Program, cfg: &Cfg, loops: &LoopTable) -> Vec<DepEdge> {
-    scalar_deps_filtered(prog, cfg, loops, &crate::build::dense_order(prog), None)
+    scalar_deps_filtered(prog, cfg, loops, &crate::build::dense_order(prog), None, |_, _| true)
 }
 
 /// Scalar dependence edges restricted to variables in `only` (all
-/// variables when `None`). The restriction is exact per variable — see
-/// [`Accesses::collect_where`] — so the edges produced for a variable in
-/// `only` are identical to the ones the unrestricted analysis produces.
-/// `order` is the caller's dense order table (shared across the
+/// variables when `None`) and to the (source, sink) access pairs `keep`
+/// accepts. The restriction is exact per variable — see
+/// [`Accesses::collect_where`] — and each pair's edges are a function of
+/// that pair alone, so the edges produced are exactly the unrestricted
+/// analysis's edges of the accepted pairs; a rejected pair allocates
+/// nothing. `order` is the caller's dense order table (shared across the
 /// analysis passes of one update — see [`crate::build::dense_order`]).
 pub(crate) fn scalar_deps_filtered(
     prog: &Program,
@@ -56,6 +58,7 @@ pub(crate) fn scalar_deps_filtered(
     loops: &LoopTable,
     order: &[u32],
     only: Option<&SymSet>,
+    keep: impl Fn(&Access, &Access) -> bool,
 ) -> Vec<DepEdge> {
     let acc = match only {
         None => Accesses::collect_where(prog, |_| true),
@@ -92,8 +95,8 @@ pub(crate) fn scalar_deps_filtered(
         let node = cfg.node_of(u.stmt);
         for &d in ctx.acc.defs_of(u.var) {
             let bit = r.def_bit(d);
-            if r.ins.contains(node, bit) {
-                let def = &ctx.acc.defs[d as usize];
+            let def = &ctx.acc.defs[d as usize];
+            if r.ins.contains(node, bit) && keep(def, u) {
                 out.emit(&ctx, DepKind::Flow, def, u, &r.outs, bit);
             }
         }
@@ -105,7 +108,7 @@ pub(crate) fn scalar_deps_filtered(
         for &u in ctx.acc.uses_of(def.var) {
             let use_acc = &ctx.acc.uses[u as usize];
             let bit = r.use_bit(u);
-            if use_acc.stmt != def.stmt && r.ins.contains(node, bit) {
+            if use_acc.stmt != def.stmt && r.ins.contains(node, bit) && keep(use_acc, def) {
                 out.emit(&ctx, DepKind::Anti, use_acc, def, &r.outs, bit);
             }
         }
@@ -115,8 +118,8 @@ pub(crate) fn scalar_deps_filtered(
         let node = cfg.node_of(def2.stmt);
         for &d in ctx.acc.defs_of(def2.var) {
             let bit = r.def_bit(d);
-            if r.ins.contains(node, bit) {
-                let def1 = &ctx.acc.defs[d as usize];
+            let def1 = &ctx.acc.defs[d as usize];
+            if r.ins.contains(node, bit) && keep(def1, def2) {
                 out.emit(&ctx, DepKind::Output, def1, def2, &r.outs, bit);
             }
         }

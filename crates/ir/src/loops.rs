@@ -183,6 +183,19 @@ impl LoopTable {
         info.fin = head.b.clone();
     }
 
+    /// Records that the plain statement `stmt` now sits directly in the
+    /// body of `innermost` (`None` = outside every loop), after an edit
+    /// that inserted, moved or (with `None`) deleted it without touching
+    /// any marker. The loops themselves are fixed by the markers, so only
+    /// the statement's own membership changes.
+    pub fn place(&mut self, stmt: StmtId, innermost: Option<LoopId>) {
+        let i = stmt.index();
+        if i >= self.enclosing.len() {
+            self.enclosing.resize(i + 1, NO_LOOP);
+        }
+        self.enclosing[i] = innermost.map_or(NO_LOOP, |l| l.0);
+    }
+
     /// Number of loops.
     pub fn len(&self) -> usize {
         self.loops.len()

@@ -12,7 +12,7 @@
 //! no matter how anchor candidates are enumerated — fused automaton or
 //! the plain scan.
 
-use genesis::{ApplyMode, CompiledOptimizer, Driver, MatcherKind};
+use genesis::{ApplyMode, CompiledOptimizer, Driver, MatcherKind, Session, SessionOptions};
 use gospel_dep::DepGraph;
 use gospel_exec::{run_limited, ExecValue, Trace};
 use gospel_ir::{DisplayProgram, Program};
@@ -191,5 +191,61 @@ fn chained_catalog_sequence_is_mode_independent() {
             "{wname}: chained sequence differs between modes"
         );
         assert_same_exec(&wname, "catalog-chain", &full, &incr);
+    }
+}
+
+/// The paper's §4 enablement sequence.
+const SEQUENCE: [&str; 6] = ["CTP", "CPP", "ICM", "FUS", "DCE", "CFO"];
+
+/// Generated programs of about 150 statements: the seed-38 program is the
+/// one that exposed a copy-propagation fault at this size.
+const AT_SIZE: [(u64, usize); 2] = [(38, 150), (0xD1FF, 150)];
+
+/// The §4 sequence at size with every dependence refresh cross-checked:
+/// `verify_deps` compares each updated graph with a fresh analysis, and
+/// with degraded recovery off a disagreement fails the apply. Every
+/// update shape the sequence makes on a program this large — deletes,
+/// placements, bound and operand rewrites, structural batches — must
+/// stay exact.
+#[test]
+fn verified_sequence_at_size_never_diverges() {
+    let opts = gospel_opts::catalog().expect("catalog generates");
+    for (seed, statements) in AT_SIZE {
+        let prog = generator::generate(
+            seed,
+            GenConfig {
+                statements,
+                ..GenConfig::default()
+            },
+        );
+        let options = SessionOptions {
+            verify_deps: true,
+            degraded_recovery: false,
+            ..SessionOptions::default()
+        };
+        let mut session = Session::with_options(prog.clone(), options);
+        for opt in &opts {
+            session.register(opt.clone());
+        }
+        let mut updates = 0;
+        for name in SEQUENCE {
+            let report = session
+                .apply(name, ApplyMode::AllPoints)
+                .unwrap_or_else(|e| panic!("gen{seed}@{statements} {name}: {e}"));
+            updates += report.incremental_updates;
+        }
+        assert!(updates > 0, "gen{seed}@{statements}: the sequence updated nothing");
+        let mut unverified = prog.clone();
+        for name in SEQUENCE {
+            let opt = opts.iter().find(|o| o.name == name).expect("sequence optimizer");
+            Driver::new(opt)
+                .apply(&mut unverified, ApplyMode::AllPoints)
+                .unwrap_or_else(|e| panic!("gen{seed}@{statements} {name}: {e}"));
+        }
+        assert_eq!(
+            DisplayProgram(session.program()).to_string(),
+            DisplayProgram(&unverified).to_string(),
+            "gen{seed}@{statements}: verification changed the result"
+        );
     }
 }
