@@ -12,9 +12,17 @@
 //!
 //! The automaton keeps two layers:
 //!
-//! * **catalog-scoped** — the trie itself. Built once per catalog,
-//!   immutable until (de/re)registration changes the catalog, at which
-//!   point the whole automaton is dropped and rebuilt
+//! * **catalog-scoped** — each optimizer's *anchor chain*: its narrowing
+//!   [`AnchorFilter`], the root buckets it hangs under and its class
+//!   tests in canonical order. [`crate::generate`] compiles the chain
+//!   once per optimizer, as the paper's generator emits `set_up_X` and
+//!   `match_X` once per specification, and keeps it with the
+//!   [`CompiledOptimizer`] behind an `Arc` together with the optimizer's
+//!   upper-cased name. Nothing here re-reads a specification: a build
+//!   shares the chains and names and lays the chains out as one trie in
+//!   flat buffers, its root indexed by opcode. The trie is immutable
+//!   until (de/re)registration changes the catalog, at which point the
+//!   whole automaton is dropped and rebuilt
 //!   ([`crate::SessionCaches::drop_optimizer`] treats it like the other
 //!   per-optimizer caches).
 //! * **program-scoped** — per-statement admission masks and per-optimizer
@@ -22,7 +30,8 @@
 //!   [`EditDelta`] journals: touched statements are unlisted via their
 //!   recorded masks and reclassified from the post-edit program.
 //!   Structural batches reclassify the whole program against the
-//!   unchanged trie.
+//!   unchanged trie. Classification writes each mask in place and reuses
+//!   one walk stack, so it allocates nothing per statement.
 //!
 //! Loop-membership is part of the automaton's test vocabulary in
 //! principle (the anchor of a loop-shaped optimizer), but GOSpeL anchor
@@ -41,16 +50,17 @@
 //! scan satisfaction over random journaled edit batches.
 //!
 //! The module also owns the front end every matcher shares: the
-//! [`AnchorFilter`] extracted from an anchor clause by [`anchor_filter`],
-//! which the trie compiles and the scan path tests per visited statement
-//! for its funnel accounting.
+//! [`AnchorFilter`] extracted from an anchor clause by [`anchor_filter`]
+//! and the anchor chain compiled from it, which the trie is laid out
+//! from, the scan path tests per visited statement for its funnel
+//! accounting, and explain replays to name the failing edge. Outside
+//! tests, only `generate` extracts filters.
 
-use crate::caches::normalize;
 use crate::compile::CompiledOptimizer;
 use gospel_dep::DepGraph;
-use gospel_ir::{EditDelta, Operand, Program, Quad, StmtId};
+use gospel_ir::{EditDelta, Opcode, Operand, Program, Quad, StmtId};
 use gospel_lang::ast::{Attr, BoolExpr, CmpOp, ElemType, OperandClass, PatternClause, ValExpr};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // anchor-clause constraint extraction
@@ -222,21 +232,53 @@ fn is_opc_ref(v: &ValExpr, var: &str) -> bool {
     matches!(v, ValExpr::Ref(r) if r.base == var && r.path.as_slice() == [Attr::Opc])
 }
 
+/// The `gospel_name` keys the trie buckets on, indexed by [`bucket`]
+/// (all `call` variants share one bucket).
+const OPCODE_KEYS: [&str; 22] = [
+    "assign", "add", "sub", "mul", "div", "mod", "neg", "call", "do", "pardo", "enddo", "if_lt",
+    "if_le", "if_gt", "if_ge", "if_eq", "if_ne", "else", "endif", "read", "write", "nop",
+];
+
+/// The root bucket of an opcode: the index of its `gospel_name` in
+/// [`OPCODE_KEYS`].
+fn bucket(op: Opcode) -> usize {
+    match op {
+        Opcode::Assign => 0,
+        Opcode::Add => 1,
+        Opcode::Sub => 2,
+        Opcode::Mul => 3,
+        Opcode::Div => 4,
+        Opcode::Mod => 5,
+        Opcode::Neg => 6,
+        Opcode::Call(_) => 7,
+        Opcode::DoHead => 8,
+        Opcode::ParDo => 9,
+        Opcode::EndDo => 10,
+        Opcode::IfLt => 11,
+        Opcode::IfLe => 12,
+        Opcode::IfGt => 13,
+        Opcode::IfGe => 14,
+        Opcode::IfEq => 15,
+        Opcode::IfNe => 16,
+        Opcode::Else => 17,
+        Opcode::EndIf => 18,
+        Opcode::Read => 19,
+        Opcode::Write => 20,
+        Opcode::Nop => 21,
+    }
+}
+
 /// Maps a GOSpeL opcode literal to the interned `gospel_name` key the
-/// trie buckets on (all `call` variants share one bucket).
+/// trie buckets on.
 fn opcode_key(name: &str) -> Option<&'static str> {
-    const KEYS: [&str; 22] = [
-        "assign", "add", "sub", "mul", "div", "mod", "neg", "call", "do", "pardo", "enddo",
-        "if_lt", "if_le", "if_gt", "if_ge", "if_eq", "if_ne", "else", "endif", "read", "write",
-        "nop",
-    ];
-    KEYS.iter()
+    OPCODE_KEYS
+        .iter()
         .find(|k| k.eq_ignore_ascii_case(name))
         .copied()
 }
 
 // ---------------------------------------------------------------------------
-// the trie
+// the compiled anchor chain (catalog half, built by `generate`)
 // ---------------------------------------------------------------------------
 
 /// One discriminating test on an edge of the trie: the operand at
@@ -254,28 +296,109 @@ impl Test {
     }
 }
 
-/// One trie node: optimizers whose whole test chain ends here, plus the
-/// outgoing test edges (children with strictly longer chains).
-#[derive(Clone, Debug, Default)]
-struct Node {
-    outputs: Vec<usize>,
-    edges: Vec<(Test, usize)>,
+/// Deterministic ordering of class tests, so equal filters produce equal
+/// chains and shared prefixes actually merge. Class outranks position:
+/// the catalog's common discriminator ("some operand is a constant")
+/// then leads every chain that uses it, maximizing sharing; conjunction
+/// order is semantically free.
+fn test_rank(t: &Test) -> (u8, usize, bool) {
+    let c = match t.cls {
+        OperandClass::Const => 0,
+        OperandClass::Var => 1,
+        OperandClass::Elem => 2,
+        OperandClass::None => 3,
+    };
+    (c, t.pos, !t.positive)
 }
 
-/// Per-fused-optimizer metadata carried out of trie construction.
-#[derive(Clone, Debug)]
-struct FusedEntry {
-    /// The anchor filter was `exact`: admission equals format
-    /// satisfaction, so the searcher skips format evaluation for posting
-    /// members.
-    exact: bool,
-    /// The root bucket keys this optimizer's chain hangs under.
-    opcodes: Vec<&'static str>,
-    /// The optimizer's discriminator chain, in canonical (`test_rank`)
-    /// order — exactly the edge sequence `insert_filter` threaded into
-    /// the trie, kept so [`FusedAutomaton::explain_admission`] can
-    /// replay the walk and name the first failing edge.
+/// An optimizer's anchor clause compiled for matching: the narrowing
+/// [`AnchorFilter`], the root buckets it hangs under and its canonical
+/// test chain. [`crate::generate`] compiles it once per optimizer; the
+/// trie, the scan path's funnel accounting and explain all read that
+/// one copy, shared through an `Arc`.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct AnchorChain {
+    /// The filter the chain was compiled from; it always narrows.
+    pub(crate) filter: AnchorFilter,
+    /// Bit `bucket(op)` is set for every admissible opcode.
+    buckets: u32,
+    /// The class tests sorted by `test_rank` and deduplicated: the edge
+    /// sequence threaded into the trie under each bucket, replayed by
+    /// [`FusedAutomaton::explain_admission`] to name the first failing
+    /// edge.
     tests: Vec<Test>,
+}
+
+impl AnchorChain {
+    /// Compiles the anchor of a pattern section: `None` unless its first
+    /// clause ranges over statements and its format bounds the opcode
+    /// (loop anchors and unbounded formats stay off the automaton).
+    pub(crate) fn compile(patterns: &[(PatternClause, ElemType)]) -> Option<AnchorChain> {
+        let filter = patterns
+            .first()
+            .filter(|(_, ty)| *ty == ElemType::Stmt)
+            .and_then(|(c, _)| c.vars.first().map(|v| anchor_filter(c, v)))
+            .filter(AnchorFilter::narrows)?;
+        let mut tests: Vec<Test> = filter
+            .classes
+            .iter()
+            .map(|&(pos, cls, positive)| Test { pos, cls, positive })
+            .collect();
+        tests.sort_unstable_by_key(test_rank);
+        tests.dedup();
+        let buckets = filter.opcodes.iter().flatten().fold(0, |bits, key| {
+            let b = OPCODE_KEYS
+                .iter()
+                .position(|k| k == key)
+                .expect("filters draw opcodes from OPCODE_KEYS");
+            bits | 1 << b
+        });
+        Some(AnchorChain {
+            filter,
+            buckets,
+            tests,
+        })
+    }
+
+    /// Whether admission equals format satisfaction ([`AnchorFilter::exact`]).
+    pub(crate) fn exact(&self) -> bool {
+        self.filter.exact
+    }
+
+    fn admits_opcode(&self, op: Opcode) -> bool {
+        self.buckets & 1 << bucket(op) != 0
+    }
+}
+
+/// The operand classes of `dst`, `a` and `b`, the positions a test reads.
+fn classes(quad: &Quad) -> [OperandClass; 3] {
+    [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)]
+}
+
+// ---------------------------------------------------------------------------
+// the trie (program half)
+// ---------------------------------------------------------------------------
+
+/// The absent link in the trie's flat buffers.
+const NIL: u32 = u32::MAX;
+
+/// The placeholder test of a bucket root, which no edge leads into.
+const ROOT_TEST: Test = Test {
+    pos: 0,
+    cls: OperandClass::None,
+    positive: true,
+};
+
+/// One trie state, linked into flat buffers: its children through
+/// `first_child` and their `next_sibling`s, and the optimizers whose
+/// whole chain ends here through `first_out` into `outs`.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// The test on the edge into this node (unused for bucket roots).
+    test: Test,
+    first_child: u32,
+    next_sibling: u32,
+    first_out: u32,
 }
 
 /// The replayed trie path of one (optimizer, statement) admission query —
@@ -335,19 +458,22 @@ impl AdmissionVerdict<'_> {
 }
 
 /// The fused anchor automaton. See the module docs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FusedAutomaton {
-    /// Normalized optimizer names, in catalog (registration) order. The
-    /// index into this vector is the optimizer id used everywhere below.
-    names: Vec<String>,
-    /// `Some` for optimizers with a narrowing anchor filter; `None` for
-    /// the rest (loop anchors, unbounded opcodes) — those fall down the
-    /// ladder.
-    fused: Vec<Option<FusedEntry>>,
-    /// Trie nodes; roots are reached through `root`.
+    /// Upper-cased optimizer names, in catalog (registration) order,
+    /// shared with the optimizers. The index into this vector is the
+    /// optimizer id used everywhere below.
+    names: Vec<Arc<str>>,
+    /// The anchor chain of each optimizer with a narrowing anchor filter,
+    /// shared with the optimizer; `None` for the rest (loop anchors,
+    /// unbounded opcodes) — those fall down the ladder.
+    fused: Vec<Option<Arc<AnchorChain>>>,
+    /// Trie nodes; bucket roots are reached through `root`.
     nodes: Vec<Node>,
-    /// Opcode bucket at the root: `gospel_name` key → node.
-    root: HashMap<&'static str, usize>,
+    /// Output lists: `(optimizer id, next)` links.
+    outs: Vec<(u32, u32)>,
+    /// Opcode bucket at the root: `bucket(op)` → node, or `NIL`.
+    root: [u32; OPCODE_KEYS.len()],
     /// Mask words per statement slot (`ceil(names.len() / 64)`).
     words: usize,
     /// Per-statement admission masks, `words` words per `StmtId` slot —
@@ -356,6 +482,8 @@ pub struct FusedAutomaton {
     /// Per-optimizer posting lists (unordered; the searcher restores
     /// program order through `DepGraph::order_of`).
     postings: Vec<Vec<StmtId>>,
+    /// The classification walk's stack, reused across statements.
+    stack: Vec<u32>,
     /// Trie states created by builds (drained by the driver into the
     /// `search.fused.states` counter).
     stat_states: u64,
@@ -364,103 +492,98 @@ pub struct FusedAutomaton {
     stat_visits: u64,
 }
 
-/// Deterministic ordering of class tests, so equal filters produce equal
-/// chains and shared prefixes actually merge. Class outranks position:
-/// the catalog's common discriminator ("some operand is a constant")
-/// then leads every chain that uses it, maximizing sharing; conjunction
-/// order is semantically free.
-fn test_rank(t: &Test) -> (u8, usize, bool) {
-    let c = match t.cls {
-        OperandClass::Const => 0,
-        OperandClass::Var => 1,
-        OperandClass::Elem => 2,
-        OperandClass::None => 3,
-    };
-    (c, t.pos, !t.positive)
+impl Default for FusedAutomaton {
+    fn default() -> FusedAutomaton {
+        FusedAutomaton::compile(std::iter::empty())
+    }
 }
 
 impl FusedAutomaton {
-    /// Compiles the catalog's anchor clauses into one trie and classifies
-    /// every statement of `prog` against it.
+    /// Lays the catalog's precompiled anchor chains out as one trie and
+    /// classifies every statement of `prog` against it.
     pub fn build(optimizers: &[CompiledOptimizer], prog: &Program) -> FusedAutomaton {
-        Self::build_refs(&optimizers.iter().collect::<Vec<_>>(), prog)
+        let mut auto = FusedAutomaton::compile(optimizers.iter());
+        auto.reclassify(prog);
+        auto
     }
 
     /// [`FusedAutomaton::build`] over borrowed optimizers — the audit
     /// path reassembles the catalog in automaton order without cloning.
     pub fn build_refs(optimizers: &[&CompiledOptimizer], prog: &Program) -> FusedAutomaton {
-        let mut auto = FusedAutomaton {
-            words: optimizers.len().div_ceil(64).max(1),
-            ..FusedAutomaton::default()
-        };
-        for &opt in optimizers {
-            auto.names.push(normalize(&opt.name));
-            let filter = opt
-                .patterns
-                .first()
-                .filter(|(_, ty)| *ty == ElemType::Stmt)
-                .and_then(|(c, _)| c.vars.first().map(|v| anchor_filter(c, v)))
-                .filter(AnchorFilter::narrows);
-            let id = auto.names.len() - 1;
-            match filter {
-                Some(f) => {
-                    let (opcodes, tests) = auto.insert_filter(id, &f);
-                    auto.fused.push(Some(FusedEntry {
-                        exact: f.exact,
-                        opcodes,
-                        tests,
-                    }));
-                }
-                None => auto.fused.push(None),
-            }
-            auto.postings.push(Vec::new());
-        }
+        let mut auto = FusedAutomaton::compile(optimizers.iter().copied());
         auto.reclassify(prog);
         auto
     }
 
-    /// Threads one optimizer's filter into the trie: one chain of class
-    /// tests (sorted canonically) under each of its opcode buckets.
-    /// Returns the bucket keys and the canonical chain for the
-    /// optimizer's [`FusedEntry`].
-    fn insert_filter(
-        &mut self,
-        id: usize,
-        filter: &AnchorFilter,
-    ) -> (Vec<&'static str>, Vec<Test>) {
-        let mut tests: Vec<Test> = filter
-            .classes
-            .iter()
-            .map(|&(pos, cls, positive)| Test { pos, cls, positive })
-            .collect();
-        tests.sort_unstable_by_key(test_rank);
-        tests.dedup();
-        let keys = filter.opcodes.clone().unwrap_or_default();
-        for key in &keys {
-            let key = *key;
-            let mut cur = match self.root.get(key) {
-                Some(&n) => n,
-                None => {
-                    let n = self.fresh_node();
-                    self.root.insert(key, n);
-                    n
-                }
-            };
-            for t in &tests {
-                cur = match self.nodes[cur].edges.iter().find(|(e, _)| e == t) {
-                    Some(&(_, child)) => child,
-                    None => {
-                        let child = self.fresh_node();
-                        self.nodes[cur].edges.push((*t, child));
-                        child
-                    }
-                };
+    /// The trie over `optimizers`' chains, with no statement classified.
+    fn compile<'o>(
+        optimizers: impl ExactSizeIterator<Item = &'o CompiledOptimizer>,
+    ) -> FusedAutomaton {
+        let n = optimizers.len();
+        let mut auto = FusedAutomaton {
+            names: Vec::with_capacity(n),
+            fused: Vec::with_capacity(n),
+            nodes: Vec::new(),
+            outs: Vec::new(),
+            root: [NIL; OPCODE_KEYS.len()],
+            words: n.div_ceil(64).max(1),
+            masks: Vec::new(),
+            postings: Vec::new(),
+            stack: Vec::new(),
+            stat_states: 0,
+            stat_visits: 0,
+        };
+        for opt in optimizers {
+            let id = auto.names.len() as u32;
+            auto.names.push(opt.key.clone());
+            if let Some(chain) = &opt.anchor {
+                auto.insert_chain(id, chain);
             }
-            if !self.nodes[cur].outputs.contains(&id) {
-                self.nodes[cur].outputs.push(id);
-            }
+            auto.fused.push(opt.anchor.clone());
         }
-        (keys, tests)
+        auto.postings.resize_with(n, Vec::new);
+        auto
+    }
+
+    /// Threads one optimizer's chain into the trie under each of its
+    /// opcode buckets.
+    fn insert_chain(&mut self, id: u32, chain: &AnchorChain) {
+        let mut bits = chain.buckets;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.root[b] == NIL {
+                self.root[b] = self.fresh_node(ROOT_TEST);
+            }
+            let mut cur = self.root[b];
+            for &t in &chain.tests {
+                let mut child = self.nodes[cur as usize].first_child;
+                while child != NIL && self.nodes[child as usize].test != t {
+                    child = self.nodes[child as usize].next_sibling;
+                }
+                if child == NIL {
+                    child = self.fresh_node(t);
+                    let head = std::mem::replace(&mut self.nodes[cur as usize].first_child, child);
+                    self.nodes[child as usize].next_sibling = head;
+                }
+                cur = child;
+            }
+            // Each bucket holds the chain once, so `id` is new here.
+            let node = &mut self.nodes[cur as usize];
+            self.outs.push((id, node.first_out));
+            node.first_out = (self.outs.len() - 1) as u32;
+        }
+    }
+
+    fn fresh_node(&mut self, test: Test) -> u32 {
+        self.nodes.push(Node {
+            test,
+            first_child: NIL,
+            next_sibling: NIL,
+            first_out: NIL,
+        });
+        self.stat_states += 1;
+        (self.nodes.len() - 1) as u32
     }
 
     /// Replays the trie walk of fused optimizer `name` over one quad and
@@ -472,16 +595,15 @@ impl FusedAutomaton {
         let Some(id) = self.opt_id(name) else {
             return AdmissionVerdict::NotFused;
         };
-        let entry = self.fused[id].as_ref().expect("opt_id implies fused");
-        let got = quad.op.gospel_name();
-        if !entry.opcodes.contains(&got) {
+        let chain = self.fused[id].as_deref().expect("opt_id implies fused");
+        if !chain.admits_opcode(quad.op) {
             return AdmissionVerdict::OpcodeMiss {
-                got,
-                expected: &entry.opcodes,
+                got: quad.op.gospel_name(),
+                expected: chain.filter.opcodes.as_deref().unwrap_or_default(),
             };
         }
-        let cls = [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)];
-        for t in &entry.tests {
+        let cls = classes(quad);
+        for t in &chain.tests {
             if !t.passes(&cls) {
                 return AdmissionVerdict::EdgeFailed {
                     pos: t.pos,
@@ -494,37 +616,34 @@ impl FusedAutomaton {
         AdmissionVerdict::Admitted
     }
 
-    fn fresh_node(&mut self) -> usize {
-        self.nodes.push(Node::default());
-        self.stat_states += 1;
-        self.nodes.len() - 1
-    }
-
     /// Number of trie states.
     pub fn states(&self) -> usize {
         self.nodes.len()
     }
 
-    /// The normalized optimizer names the automaton was built over, in
+    /// The upper-cased optimizer names the automaton was built over, in
     /// catalog order.
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[Arc<str>] {
         &self.names
     }
 
-    /// The id of `name` *when it is fused* — `None` for unknown names and
-    /// for registered-but-not-fused optimizers (the ladder falls through
-    /// for those).
+    /// The id of `name` (case-insensitive) *when it is fused* — `None`
+    /// for unknown names and for registered-but-not-fused optimizers
+    /// (the ladder falls through for those).
     pub fn opt_id(&self, name: &str) -> Option<usize> {
-        let key = normalize(name);
-        let id = self.names.iter().position(|n| *n == key)?;
+        let id = self
+            .names
+            .iter()
+            .position(|n| n.eq_ignore_ascii_case(name))?;
         self.fused[id].is_some().then_some(id)
     }
 
-    /// True when the automaton was built over exactly `names` (normalized,
-    /// in order) — the session's staleness check against the registered
-    /// catalog.
-    pub fn covers(&self, names: &[String]) -> bool {
-        self.names == names
+    /// True when the automaton was built over exactly `optimizers`' names
+    /// (case-insensitively, in order) — the session's staleness check
+    /// against the registered catalog.
+    pub fn covers(&self, optimizers: &[CompiledOptimizer]) -> bool {
+        self.names.len() == optimizers.len()
+            && self.names.iter().zip(optimizers).all(|(n, o)| *n == o.key)
     }
 
     /// The admission posting of fused optimizer `id`, unordered.
@@ -534,7 +653,7 @@ impl FusedAutomaton {
 
     /// Whether `id`'s admission equals format satisfaction.
     pub fn exact(&self, id: usize) -> bool {
-        self.fused[id].as_ref().is_some_and(|f| f.exact)
+        self.fused[id].as_deref().is_some_and(AnchorChain::exact)
     }
 
     /// Drains the accumulated (states-built, trie-visits) statistics.
@@ -545,41 +664,44 @@ impl FusedAutomaton {
         )
     }
 
-    /// One trie walk: the admission mask of a quad — bit `id` set iff
-    /// fused optimizer `id` admits the statement.
-    fn classify(&mut self, quad: &Quad) -> Vec<u64> {
-        let mut mask = vec![0u64; self.words];
-        let Some(&start) = self.root.get(quad.op.gospel_name()) else {
-            return mask;
-        };
-        let cls = [
-            class_of(&quad.dst),
-            class_of(&quad.a),
-            class_of(&quad.b),
-        ];
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
+    /// One trie walk: writes the admission mask of the quad in slot `id`
+    /// — bit `o` set iff fused optimizer `o` admits the statement.
+    fn classify(&mut self, id: StmtId, quad: &Quad) {
+        let base = id.index() * self.words;
+        let mask = &mut self.masks[base..base + self.words];
+        mask.fill(0);
+        let start = self.root[bucket(quad.op)];
+        if start == NIL {
+            return;
+        }
+        let cls = classes(quad);
+        self.stack.clear();
+        self.stack.push(start);
+        while let Some(n) = self.stack.pop() {
             self.stat_visits += 1;
-            for &o in &self.nodes[n].outputs {
-                mask[o / 64] |= 1u64 << (o % 64);
+            let node = &self.nodes[n as usize];
+            let mut o = node.first_out;
+            while o != NIL {
+                let (opt, next) = self.outs[o as usize];
+                mask[opt as usize / 64] |= 1u64 << (opt % 64);
+                o = next;
             }
-            for &(t, child) in &self.nodes[n].edges {
-                if t.passes(&cls) {
-                    stack.push(child);
+            let mut child = node.first_child;
+            while child != NIL {
+                let c = &self.nodes[child as usize];
+                if c.test.passes(&cls) {
+                    self.stack.push(child);
                 }
+                child = c.next_sibling;
             }
         }
-        mask
     }
 
-    /// Classifies one live statement and lists it in the admitted
-    /// postings.
-    fn insert(&mut self, id: StmtId, quad: &Quad) {
-        let mask = self.classify(quad);
+    /// Lists statement `id` in every posting its recorded mask names.
+    fn list(&mut self, id: StmtId) {
         let base = id.index() * self.words;
-        for (w, &m) in mask.iter().enumerate() {
-            self.masks[base + w] = m;
-            let mut bits = m;
+        for w in 0..self.words {
+            let mut bits = self.masks[base + w];
             while bits != 0 {
                 let o = w * 64 + bits.trailing_zeros() as usize;
                 self.postings[o].push(id);
@@ -607,15 +729,32 @@ impl FusedAutomaton {
     }
 
     /// Rebuilds the program-scoped layer (masks + postings) against the
-    /// unchanged trie.
+    /// unchanged trie: classifies every statement, then sizes each
+    /// posting to its count before listing. (Growing the postings push by
+    /// push made a catalog build over a suite program take 1.9 µs
+    /// instead of 1.1 µs on a 2-vCPU host.)
     pub fn reclassify(&mut self, prog: &Program) {
         self.masks.clear();
         self.masks.resize(prog.id_bound() * self.words, 0);
+        for s in prog.iter() {
+            self.classify(s, prog.quad(s));
+        }
         for p in &mut self.postings {
             p.clear();
         }
+        let mut counts = vec![0usize; self.postings.len()];
+        for (slot, &m) in self.masks.iter().enumerate() {
+            let mut bits = m;
+            while bits != 0 {
+                counts[slot % self.words * 64 + bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+        for (p, &c) in self.postings.iter_mut().zip(&counts) {
+            p.reserve_exact(c);
+        }
         for s in prog.iter() {
-            self.insert(s, prog.quad(s));
+            self.list(s);
         }
     }
 
@@ -648,7 +787,8 @@ impl FusedAutomaton {
         }
         for &id in &touched {
             if prog.is_live(id) {
-                self.insert(id, prog.quad(id));
+                self.classify(id, prog.quad(id));
+                self.list(id);
             }
         }
     }
@@ -683,9 +823,11 @@ impl FusedAutomaton {
                 })
                 .collect()
         };
+        let exact = |a: &FusedAutomaton| -> Vec<Option<bool>> {
+            a.fused.iter().map(|f| f.as_deref().map(AnchorChain::exact)).collect()
+        };
         self.names == other.names
-            && self.fused.iter().map(|f| f.as_ref().map(|e| e.exact)).collect::<Vec<_>>()
-                == other.fused.iter().map(|f| f.as_ref().map(|e| e.exact)).collect::<Vec<_>>()
+            && exact(self) == exact(other)
             && norm(&self.postings) == norm(&other.postings)
     }
 }
@@ -743,6 +885,47 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, want, "posting of {} diverged from its filter", opt.name);
         }
+    }
+
+    #[test]
+    fn buckets_index_the_gospel_names() {
+        let call = gospel_frontend::compile("program p\nreal x\nx = sqrt(2.0)\nend").unwrap();
+        let call = call.quad(call.first().unwrap()).op;
+        assert!(matches!(call, Opcode::Call(_)), "{call:?}");
+        for op in [
+            Opcode::Assign, Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Div, Opcode::Mod,
+            Opcode::Neg, call, Opcode::DoHead, Opcode::ParDo, Opcode::EndDo, Opcode::IfLt,
+            Opcode::IfLe, Opcode::IfGt, Opcode::IfGe, Opcode::IfEq, Opcode::IfNe, Opcode::Else,
+            Opcode::EndIf, Opcode::Read, Opcode::Write, Opcode::Nop,
+        ] {
+            assert_eq!(OPCODE_KEYS[bucket(op)], op.gospel_name(), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn generate_compiles_the_canonical_chain_once() {
+        let opt = opt_of(
+            "A",
+            "(S.opc == neg OR S.opc == assign) AND type(S.opr_1) == var \
+             AND type(S.opr_2) != const AND type(S.opr_1) == var",
+        );
+        let chain = opt.anchor.as_deref().expect("an opcode-pinned anchor compiles a chain");
+        let (clause, _) = &opt.patterns[0];
+        assert_eq!(chain.filter, anchor_filter(clause, "S"));
+        assert_eq!(chain.buckets, 1 << bucket(Opcode::Assign) | 1 << bucket(Opcode::Neg));
+        // Constant tests lead, the repeated conjunct is tested once.
+        let tests: Vec<_> = chain.tests.iter().map(|t| (t.pos, t.cls, t.positive)).collect();
+        assert_eq!(
+            tests,
+            [(1, OperandClass::Const, false), (0, OperandClass::Var, true)]
+        );
+        // A strategy copy shares the chain instead of recompiling it.
+        let copy = opt.with_strategy(crate::Strategy::DepsFirst);
+        assert!(Arc::ptr_eq(opt.anchor.as_ref().unwrap(), copy.anchor.as_ref().unwrap()));
+        // The automaton shares it too.
+        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &prog());
+        assert!(Arc::ptr_eq(auto.fused[0].as_ref().unwrap(), opt.anchor.as_ref().unwrap()));
+        assert!(opt_of("L", "S.opr_1 == S.opr_2").anchor.is_none());
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! them; any path that cannot argue consistency (a corrupted commit, a
 //! user restore) clears the whole bundle instead.
 //!
-//! The automaton is compiled from the registered catalog, keyed by
+//! The automaton is laid out from the registered catalog's anchor
+//! chains, which `generate` compiled once per optimizer, and is keyed by
 //! upper-cased optimizer name (the same normalization the guard's
-//! quarantine map uses). Re-registering a specification under an
-//! existing name must call [`SessionCaches::drop_optimizer`]: the old
-//! spec's compiled anchor tests describe the *old* clauses, and letting
-//! them answer for the new spec would silently suppress matches.
+//! quarantine map uses), also computed by `generate`. The per-apply
+//! check that the parked automaton still covers the catalog compares
+//! those names in place and allocates nothing. Re-registering a
+//! specification under an existing name must call
+//! [`SessionCaches::drop_optimizer`]: the old spec's compiled anchor
+//! tests describe the *old* clauses, and letting them answer for the new
+//! spec would silently suppress matches.
 
 use std::sync::Arc;
 
@@ -57,31 +61,30 @@ impl SessionCaches {
     /// so covering the name at all voids it outright (the session
     /// rebuilds it from the new catalog).
     pub fn drop_optimizer(&mut self, name: &str) {
-        let key = normalize(name);
         if self
             .automaton
             .as_ref()
-            .is_some_and(|a| a.names().contains(&key))
+            .is_some_and(|a| a.names().iter().any(|n| n.eq_ignore_ascii_case(name)))
         {
             self.automaton = None;
         }
     }
 
     /// Ensures the parked automaton was built over exactly the registered
-    /// catalog (normalized names, registration order) and describes
-    /// `prog`; rebuilds it otherwise. Called by the session before each
-    /// fused apply. Rebuilds announce themselves as an `automaton.build`
-    /// span on `rec` (the state count lands in `search.fused.states` when
-    /// the next driver run drains the build stats).
+    /// catalog (names compared in place, in registration order) and
+    /// describes `prog`; rebuilds it otherwise. Called by the session
+    /// before each fused apply. Rebuilds announce themselves as an
+    /// `automaton.build` span on `rec` (the state count lands in
+    /// `search.fused.states` when the next driver run drains the build
+    /// stats).
     pub(crate) fn ensure_automaton(
         &mut self,
         optimizers: &[CompiledOptimizer],
         prog: &Program,
         rec: Option<&Arc<gospel_trace::Recorder>>,
     ) {
-        let names: Vec<String> = optimizers.iter().map(|o| normalize(&o.name)).collect();
         match &self.automaton {
-            Some(a) if a.covers(&names) => {}
+            Some(a) if a.covers(optimizers) => {}
             _ => {
                 let span = gospel_trace::Span::open(rec, "automaton.build", &[]);
                 let a = FusedAutomaton::build(optimizers, prog);
@@ -164,6 +167,25 @@ mod tests {
         // A case variant of a covered name voids it.
         caches.drop_optimizer("ctp");
         assert!(caches.automaton.is_none(), "a covered name must void the automaton");
+    }
+
+    #[test]
+    fn ensure_automaton_rebuilds_over_a_renamed_catalog() {
+        let prog =
+            gospel_frontend::compile("program p\ninteger x, y\nx = 3\ny = x\nwrite y\nend").unwrap();
+        let src = crate::CTP_EXAMPLE_SPEC.replace("OPTIMIZATION CTP", "OPTIMIZATION Other");
+        let (spec, info) = gospel_lang::parse_validated(&src).unwrap();
+        let other = generate(spec, info).unwrap();
+        let mut caches = SessionCaches::new();
+        caches.ensure_automaton(std::slice::from_ref(&ctp()), &prog, None);
+        // A catalog of the same size under another name is not covered.
+        caches.ensure_automaton(std::slice::from_ref(&other), &prog, None);
+        let auto = caches.automaton.as_ref().unwrap();
+        assert_eq!(auto.names().len(), 1);
+        assert_eq!(&*auto.names()[0], "OTHER");
+        assert_eq!(auto.opt_id("other"), Some(0));
+        assert!(auto.covers(std::slice::from_ref(&other)));
+        assert!(!auto.covers(&[other.clone(), other]));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The generator: analyze a validated specification and produce an
 //! executable optimizer (the paper's Step 2, Figure 4).
 
+use crate::automaton::{AnchorChain, AnchorFilter};
+use crate::caches::normalize;
 use crate::driver::TraceNames;
 use crate::error::GenerateError;
 use crate::resolve::{resolve, Act, ClauseSlots, NameTable, PatternSlots};
@@ -70,6 +72,12 @@ pub struct CompiledOptimizer {
     pub(crate) acts: Vec<Act>,
     /// Deduplication sites over all resolved conditions.
     pub(crate) sites: usize,
+    /// The upper-cased name: the key the fused automaton and the session
+    /// caches know this optimizer by.
+    pub(crate) key: Arc<str>,
+    /// The anchor clause compiled for matching, when it narrows: the
+    /// catalog half of the fused automaton, which shares it.
+    pub(crate) anchor: Option<Arc<AnchorChain>>,
 }
 
 impl CompiledOptimizer {
@@ -81,6 +89,14 @@ impl CompiledOptimizer {
             strategy,
             ..self.clone()
         }
+    }
+
+    /// The narrowing [`AnchorFilter`] compiled from the anchor clause
+    /// when the optimizer was generated — the filter the fused automaton
+    /// and the scan both admit by. `None` when the anchor does not
+    /// narrow (a loop anchor, or a format with no opcode bound).
+    pub fn anchor(&self) -> Option<&AnchorFilter> {
+        self.anchor.as_deref().map(|c| &c.filter)
     }
 }
 
@@ -119,13 +135,14 @@ pub fn generate(spec: Spec, info: SpecInfo) -> Result<CompiledOptimizer, Generat
             .map(|d| d.ty)
             .expect("validation declares every pattern variable")
     };
-    let patterns = patterns
+    let patterns: Vec<_> = patterns
         .into_iter()
         .map(|p| {
             let ty = decl_type(&p.vars[0]);
             (p, ty)
         })
         .collect();
+    let anchor = AnchorChain::compile(&patterns).map(Arc::new);
     let depends = depends
         .into_iter()
         .zip(resolved.depends)
@@ -137,6 +154,8 @@ pub fn generate(spec: Spec, info: SpecInfo) -> Result<CompiledOptimizer, Generat
         .collect();
 
     Ok(CompiledOptimizer {
+        key: normalize(&name).into(),
+        anchor,
         name,
         mode,
         patterns,

@@ -10,12 +10,12 @@
 use crate::compile::{CompiledOptimizer, Strategy};
 use crate::cost::Cost;
 use crate::error::RunError;
-use crate::automaton::{anchor_filter, AnchorFilter, FusedAutomaton};
+use crate::automaton::{AnchorFilter, FusedAutomaton};
 use crate::resolve::{ClauseSlots, Cond, DepAtom, Endpoint, Expr, SetRef, Slot};
 use crate::rt::{Bindings, RtVal};
 use gospel_dep::{DepEdge, DepGraph};
 use gospel_ir::{LoopId, LoopTable, Opcode, Operand, OperandPos, Program, StmtId};
-use gospel_lang::ast::{Attr, CmpOp, ElemType, OperandClass, PatternClause, Quant};
+use gospel_lang::ast::{Attr, CmpOp, ElemType, OperandClass, Quant};
 use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
@@ -635,7 +635,7 @@ pub(crate) struct Searcher<'a, V = NoVerdicts> {
     /// set, so funnel accounting stays matcher-independent (see
     /// [`AnchorAdmission`]). Set by `pattern_candidates` for the anchor
     /// clause only.
-    anchor_admission: AnchorAdmission,
+    anchor_admission: AnchorAdmission<'a>,
     /// The environment the search binds and unbinds in place.
     pub env: Bindings,
     /// Per pattern clause: its candidate buffer.
@@ -653,13 +653,14 @@ pub(crate) struct Searcher<'a, V = NoVerdicts> {
 /// How anchor candidates produced by `pattern_candidates` relate to the
 /// [`AnchorFilter`] admission set — the piece of bookkeeping that lets
 /// both matchers report the same `admitted` funnel totals.
-enum AnchorAdmission {
+enum AnchorAdmission<'a> {
     /// Candidates came from a fused posting: every visited candidate is
     /// admitted by construction.
     Posting,
     /// Scan candidates with a narrowing filter: each visited statement
-    /// is tested with [`AnchorFilter::admits`].
-    Filter(AnchorFilter),
+    /// is tested with [`AnchorFilter::admits`], against the filter the
+    /// automaton's chain was compiled from.
+    Filter(&'a AnchorFilter),
     /// No admission set narrows this enumeration (loop anchors, or a
     /// format with no opcode bound): every visited candidate counts.
     All,
@@ -711,7 +712,7 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
     /// it is an anchor in the admission set, under the enumeration's
     /// [`AnchorAdmission`] accounting, or `None` when the verdict sink
     /// skips it.
-    fn visit(&mut self, idx: usize, admission: &AnchorAdmission, cand: &Cand) -> Option<bool> {
+    fn visit(&mut self, idx: usize, admission: &AnchorAdmission<'_>, cand: &Cand) -> Option<bool> {
         if idx != 0 {
             return Some(false);
         }
@@ -801,10 +802,9 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
         limit: usize,
     ) -> Result<bool, RunError> {
         let opt = self.opt;
-        let (clause, ty) = &opt.patterns[idx];
-        let ty = *ty;
+        let ty = opt.patterns[idx].1;
         let mut t = self.pattern_timer();
-        self.pattern_candidates(clause, ty, idx, cands);
+        self.pattern_candidates(ty, idx, cands);
         // Snapshot before recursing: nested clauses re-enter
         // `pattern_candidates` and overwrite the flag.
         let known_hold = self.format_known;
@@ -830,7 +830,7 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
         &mut self,
         idx: usize,
         known_hold: bool,
-        admission: &AnchorAdmission,
+        admission: &AnchorAdmission<'_>,
         cands: &[Cand],
         t: &mut Option<Instant>,
         out: &mut Vec<Bindings>,
@@ -966,7 +966,6 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
     /// Fills `out` with the clause's candidate tuples, in visiting order.
     fn pattern_candidates(
         &mut self,
-        clause: &PatternClause,
         ty: ElemType,
         idx: usize,
         out: &mut Vec<Cand>,
@@ -1005,10 +1004,7 @@ impl<'a, V: VerdictSink> Searcher<'a, V> {
             } else if fused.is_some() {
                 AnchorAdmission::Posting
             } else {
-                match clause.vars.first().map(|v| anchor_filter(clause, v)) {
-                    Some(f) if f.narrows() => AnchorAdmission::Filter(f),
-                    _ => AnchorAdmission::All,
-                }
+                self.opt.anchor().map_or(AnchorAdmission::All, AnchorAdmission::Filter)
             };
         }
         let resume_bar = self

@@ -6,7 +6,10 @@
 //! 1. the fused automaton's posting for the optimizer (built once, then
 //!    maintained by [`FusedAutomaton::update`] delta replay), and
 //! 2. a direct scan evaluating the optimizer's [`AnchorFilter`] opcode and
-//!    operand-class tests against every live statement.
+//!    operand-class tests against every live statement — the filter
+//!    generated with the optimizer, from which the automaton's chain was
+//!    compiled, checked equal to a fresh extraction and against
+//!    [`AnchorFilter::admits`].
 //!
 //! The undo round-trip must also hold: replaying a journal backwards and
 //! reclassifying restores the automaton to its original postings.
@@ -14,7 +17,7 @@
 //! The vendored proptest shim's deterministic RNG drives an imperative
 //! program grower, so every failure reproduces from its seed case.
 
-use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton};
+use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton, Strategy};
 use gospel_ir::{
     AffineExpr, EditDelta, Opcode, Operand, OperandPos, Program, ProgramBuilder, Quad, StmtId, Sym,
 };
@@ -32,8 +35,10 @@ fn opt_of(name: &str, anchor: &str) -> CompiledOptimizer {
 }
 
 /// A catalog exercising the trie's sharing and fallback shapes: a shared
-/// `assign → const` prefix, an opcode-only chain, a second opcode bucket,
-/// and an unfilterable anchor that must stay off the automaton entirely.
+/// `assign → const` prefix, an opcode-only chain, a second opcode bucket
+/// (built as a strategy copy, which shares its source's chain), a chain
+/// hanging under two buckets with a repeated and a negative test, and an
+/// unfilterable anchor that must stay off the automaton entirely.
 fn catalog() -> Vec<CompiledOptimizer> {
     vec![
         opt_of("CONSTSRC", "S.opc == assign AND type(S.opr_2) == const"),
@@ -42,21 +47,31 @@ fn catalog() -> Vec<CompiledOptimizer> {
             "S.opc == assign AND type(S.opr_2) == const AND type(S.opr_1) == var",
         ),
         opt_of("ANYASSIGN", "S.opc == assign"),
-        opt_of("VARSUM", "S.opc == add AND type(S.opr_2) == var"),
+        opt_of("VARSUM", "S.opc == add AND type(S.opr_2) == var").with_strategy(Strategy::DepsFirst),
+        opt_of(
+            "COPYORNEG",
+            "(S.opc == assign OR S.opc == neg) AND type(S.opr_2) != const \
+             AND type(S.opr_1) == var AND type(S.opr_2) != const",
+        ),
         opt_of("UNBOUND", "S.opr_1 == S.opr_2"),
     ]
 }
 
-/// The narrowing anchor filter of each catalog entry, `None` where the
-/// anchor cannot narrow (the `UNBOUND` case).
+/// The narrowing anchor filter each catalog entry was generated with —
+/// the one its automaton chain was compiled from — checked against a
+/// fresh extraction from the spec. `None` where the anchor cannot narrow
+/// (the `UNBOUND` case).
 fn filters(opts: &[CompiledOptimizer]) -> Vec<Option<AnchorFilter>> {
     opts.iter()
         .map(|o| {
-            o.patterns
+            let fresh = o
+                .patterns
                 .first()
                 .filter(|(_, ty)| *ty == ElemType::Stmt)
                 .and_then(|(c, _)| c.vars.first().map(|v| anchor_filter(c, v)))
-                .filter(AnchorFilter::narrows)
+                .filter(AnchorFilter::narrows);
+            assert_eq!(o.anchor(), fresh.as_ref(), "{}: generated chain", o.name);
+            o.anchor().cloned()
         })
         .collect()
 }
@@ -285,6 +300,12 @@ fn assert_admission_agrees(
         });
         let fused = sorted(auto.posting(id).to_vec());
         let scanned = sorted(scan_admitted(prog, f));
+        let admitted = sorted(prog.iter().filter(|&s| f.admits(prog.quad(s))).collect());
+        prop_assert!(
+            admitted == scanned,
+            "{context}: AnchorFilter::admits disagrees with the scan for {}",
+            opt.name
+        );
         prop_assert!(
             fused == scanned,
             "{context}: admission disagrees for {}\n  fused:   {fused:?}\n  \

@@ -422,14 +422,21 @@ fn dirty_operand(op: &Operand, set: &mut SymSet) {
 }
 
 /// The `(end do, do)` marker pair a live statement at `id` currently
-/// splits: `id` sits directly between a loop end and a loop head, so its
+/// splits: `id` sits between a loop end and a loop head, with nothing
+/// else between them but other statements the batch `placed`, so the
 /// placement broke the adjacency of those two loops, killing
-/// fusion-preview edges of arrays the edit never mentions. A statement
-/// with only one loopish neighbor changes nothing — the pair was not
-/// adjacent before the edit either.
-fn split_pair(prog: &Program, id: StmtId) -> Option<(StmtId, StmtId)> {
-    let p = prog.prev(id)?;
-    let n = prog.next(id)?;
+/// fusion-preview edges of arrays the edit never mentions. A run with
+/// only one loopish neighbor changes nothing — the pair was not adjacent
+/// before the edit either.
+fn split_pair(prog: &Program, id: StmtId, placed: &[StmtId]) -> Option<(StmtId, StmtId)> {
+    let mut p = prog.prev(id)?;
+    while placed.contains(&p) {
+        p = prog.prev(p)?;
+    }
+    let mut n = prog.next(id)?;
+    while placed.contains(&n) {
+        n = prog.next(n)?;
+    }
     (prog.quad(p).op == Opcode::EndDo && prog.quad(n).op.is_loop_head()).then_some((p, n))
 }
 
@@ -520,6 +527,16 @@ impl Journal {
             dirty: SymSet::new(prog.syms().len()),
             ..Journal::default()
         };
+        // The live statements the batch placed, which `split_pair` walks
+        // past to the untouched neighbors of a placed run.
+        let placed: Vec<StmtId> = delta
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                EditOp::Insert { id } | EditOp::Move { id, .. } if prog.is_live(*id) => Some(*id),
+                _ => None,
+            })
+            .collect();
         let note_pair = |pair: Option<(StmtId, StmtId)>, out: &mut Vec<StmtId>| {
             if let Some((e, h)) = pair {
                 out.push(e);
@@ -532,7 +549,7 @@ impl Journal {
                     if prog.is_live(*id) {
                         dirty_quad(prog.quad(*id), &mut j.dirty);
                         j.touched.push(*id);
-                        note_pair(split_pair(prog, *id), &mut j.pair_markers);
+                        note_pair(split_pair(prog, *id, &placed), &mut j.pair_markers);
                         match prog.prev(*id) {
                             Some(p) => j.touched.push(p),
                             None => j.from_start = true,

@@ -8,9 +8,10 @@
 //! a composed strategy), so every failure reproduces by rerunning the
 //! test with the same seed case.
 
-use gospel_dep::{DepGraph, UpdateKind};
+use gospel_dep::{AnalyzeError, DepGraph, UpdateKind};
 use gospel_ir::{
     AffineExpr, EditDelta, Opcode, Operand, OperandPos, Program, ProgramBuilder, Quad, StmtId, Sym,
+    ValidateError,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -657,4 +658,68 @@ fn a_structural_batch_resorts_the_control_edges_of_moved_statements() {
     d.insert_after(&mut prog, Some(h), Quad::marker(Opcode::EndIf));
     assert_eq!(g.update(&prog, &d).unwrap().kind, UpdateKind::Structural);
     check(&g, &prog, "swapped under a structural batch").unwrap();
+}
+
+#[test]
+fn moving_an_end_if_past_the_outer_else_is_rejected() {
+    // Moving the inner `end if` past the outer `else` leaves the inner
+    // conditional `if … else … else … end if`. Both the structural
+    // update and a fresh analysis must refuse that program rather than
+    // derive edges for it.
+    let mut b = ProgramBuilder::new("two_elses");
+    let x = b.scalar_int("x");
+    let y = b.scalar_int("y");
+    b.read(Operand::Var(x));
+    let outer = b.if_head(Opcode::IfGt, Operand::Var(x), Operand::int(0));
+    let inner = b.if_head(Opcode::IfGt, Operand::Var(x), Operand::int(5));
+    b.assign(Operand::Var(y), Operand::int(1));
+    b.else_mark(inner);
+    b.assign(Operand::Var(y), Operand::int(2));
+    let inner_end = b.end_if(inner);
+    let outer_else = b.else_mark(outer);
+    b.assign(Operand::Var(y), Operand::int(3));
+    b.end_if(outer);
+    b.write(Operand::Var(y));
+    let mut prog = b.finish();
+    let mut g = DepGraph::analyze(&prog).unwrap();
+
+    let mut d = EditDelta::new();
+    d.move_after(&mut prog, inner_end, Some(outer_else));
+    assert!(d.requires_full());
+    let invalid = |r: Result<_, AnalyzeError>| {
+        matches!(r, Err(AnalyzeError::Invalid(ValidateError::DuplicateElse(s))) if s == outer_else)
+    };
+    assert!(invalid(g.update(&prog, &d).map(|_| ())), "the update accepted two elses");
+    assert!(invalid(DepGraph::analyze(&prog).map(|_| ())), "analysis accepted two elses");
+}
+
+#[test]
+fn a_run_placed_between_two_loops_moves_the_frontier_into_the_first() {
+    // Two statements inserted between `end do` and the next `do` break
+    // the adjacency of two equal-bound loops, and with it the fusion
+    // previews of `a`, which neither inserted statement mentions. The
+    // search must resume inside the first loop, where `a` is written.
+    let mut b = ProgramBuilder::new("split");
+    let i = b.scalar_int("i");
+    let t = b.scalar_int("t");
+    let u = b.scalar_int("u");
+    let x = b.scalar_int("x");
+    let a = b.array_int("a", &[64]);
+    b.read(Operand::Var(x));
+    let l1 = b.do_head(i, Operand::int(1), Operand::int(50));
+    let write_a = b.assign(Operand::elem1(a, AffineExpr::var(i)), Operand::Var(x));
+    let end1 = b.end_do(l1);
+    let l2 = b.do_head(i, Operand::int(1), Operand::int(50));
+    b.assign(Operand::Var(x), Operand::elem1(a, AffineExpr::var(i)));
+    b.end_do(l2);
+    let mut prog = b.finish();
+    let mut g = DepGraph::analyze(&prog).unwrap();
+
+    let mut d = EditDelta::new();
+    let first = d.insert_after(&mut prog, Some(end1), Quad::assign(Operand::Var(t), Operand::int(0)));
+    d.insert_after(&mut prog, Some(first), Quad::assign(Operand::Var(u), Operand::int(1)));
+    let up = g.update(&prog, &d).unwrap();
+    assert_eq!(up.kind, UpdateKind::Incremental);
+    check(&g, &prog, "two statements split the loops").unwrap();
+    assert_eq!(up.frontier, Some(write_a), "the frontier must reach the first loop's body");
 }

@@ -10,6 +10,8 @@ pub enum ValidateError {
     UnmatchedEndDo(StmtId),
     /// `else`/`end if` with no open conditional.
     UnmatchedEndIf(StmtId),
+    /// A second `else` in one conditional.
+    DuplicateElse(StmtId),
     /// A loop or conditional left open at the end of the program.
     Unclosed(StmtId),
     /// `do`/`end do` and `if`/`end if` regions interleave improperly.
@@ -29,6 +31,7 @@ impl fmt::Display for ValidateError {
         match self {
             ValidateError::UnmatchedEndDo(s) => write!(f, "unmatched end do at {s}"),
             ValidateError::UnmatchedEndIf(s) => write!(f, "unmatched else/end if at {s}"),
+            ValidateError::DuplicateElse(s) => write!(f, "second else of one conditional at {s}"),
             ValidateError::Unclosed(s) => write!(f, "unclosed region opened at {s}"),
             ValidateError::Interleaved(s) => write!(f, "improperly interleaved regions at {s}"),
             ValidateError::BadDestination(s) => write!(f, "bad destination at {s}"),
@@ -43,7 +46,8 @@ impl std::error::Error for ValidateError {}
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Region {
     Loop(StmtId),
-    If(StmtId),
+    /// An open conditional, and whether its `else` has been seen.
+    If(StmtId, bool),
 }
 
 /// Checks a program's structural invariants: balanced `do`/`end do` and
@@ -67,16 +71,17 @@ pub fn validate(prog: &Program) -> Result<(), ValidateError> {
             }
             Opcode::EndDo => match stack.pop() {
                 Some(Region::Loop(_)) => {}
-                Some(Region::If(_)) => return Err(ValidateError::Interleaved(id)),
+                Some(Region::If(..)) => return Err(ValidateError::Interleaved(id)),
                 None => return Err(ValidateError::UnmatchedEndDo(id)),
             },
-            op if op.is_if() => stack.push(Region::If(id)),
-            Opcode::Else => match stack.last() {
-                Some(Region::If(_)) => {}
+            op if op.is_if() => stack.push(Region::If(id, false)),
+            Opcode::Else => match stack.last_mut() {
+                Some(Region::If(_, true)) => return Err(ValidateError::DuplicateElse(id)),
+                Some(Region::If(_, seen)) => *seen = true,
                 _ => return Err(ValidateError::UnmatchedEndIf(id)),
             },
             Opcode::EndIf => match stack.pop() {
-                Some(Region::If(_)) => {}
+                Some(Region::If(..)) => {}
                 Some(Region::Loop(_)) => return Err(ValidateError::Interleaved(id)),
                 None => return Err(ValidateError::UnmatchedEndIf(id)),
             },
@@ -90,7 +95,7 @@ pub fn validate(prog: &Program) -> Result<(), ValidateError> {
     }
     if let Some(r) = stack.first() {
         let at = match r {
-            Region::Loop(s) | Region::If(s) => *s,
+            Region::Loop(s) | Region::If(s, _) => *s,
         };
         return Err(ValidateError::Unclosed(at));
     }
@@ -236,6 +241,57 @@ mod tests {
             validate(&p),
             Err(ValidateError::BadSubscript(_, _))
         ));
+    }
+
+    fn cond(p: &mut Program, x: crate::Sym) {
+        p.push(Quad::new(
+            Opcode::IfGt,
+            Operand::None,
+            Operand::Var(x),
+            Operand::int(0),
+        ));
+    }
+
+    #[test]
+    fn second_else_of_one_conditional_rejected() {
+        // if … else … else … end if
+        let mut p = Program::new("bad");
+        let x = p.declare("x", crate::VarType::Int, crate::VarKind::Scalar);
+        cond(&mut p, x);
+        p.push(Quad::assign(Operand::Var(x), Operand::int(1)));
+        p.push(Quad::marker(Opcode::Else));
+        p.push(Quad::assign(Operand::Var(x), Operand::int(2)));
+        let second = p.push(Quad::marker(Opcode::Else));
+        p.push(Quad::marker(Opcode::EndIf));
+        assert_eq!(validate(&p), Err(ValidateError::DuplicateElse(second)));
+    }
+
+    #[test]
+    fn one_else_per_nested_conditional_passes() {
+        // if … else if … else … end if end if: each region has one else,
+        // and the inner one does not count against the outer.
+        let mut p = Program::new("ok");
+        let x = p.declare("x", crate::VarType::Int, crate::VarKind::Scalar);
+        cond(&mut p, x);
+        p.push(Quad::marker(Opcode::Else));
+        cond(&mut p, x);
+        p.push(Quad::assign(Operand::Var(x), Operand::int(1)));
+        p.push(Quad::marker(Opcode::Else));
+        p.push(Quad::assign(Operand::Var(x), Operand::int(2)));
+        p.push(Quad::marker(Opcode::EndIf));
+        p.push(Quad::marker(Opcode::EndIf));
+        assert_eq!(validate(&p), Ok(()));
+        // The same shape with the inner `end if` before the outer `else`
+        // gives the outer conditional two `else`s.
+        let mut p = Program::new("bad");
+        let x = p.declare("x", crate::VarType::Int, crate::VarKind::Scalar);
+        cond(&mut p, x);
+        p.push(Quad::marker(Opcode::Else));
+        cond(&mut p, x);
+        p.push(Quad::marker(Opcode::EndIf));
+        let second = p.push(Quad::marker(Opcode::Else));
+        p.push(Quad::marker(Opcode::EndIf));
+        assert_eq!(validate(&p), Err(ValidateError::DuplicateElse(second)));
     }
 
     #[test]

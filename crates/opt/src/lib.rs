@@ -72,3 +72,36 @@ pub fn by_name(name: &str) -> CompiledOptimizer {
         .unwrap_or_else(|| panic!("`{name}` is not a catalog optimization"));
     compile_spec(src).expect("catalog specifications generate")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genesis::{anchor_filter, AnchorFilter, Strategy};
+    use gospel_lang::ast::ElemType;
+
+    /// The anchor filter a fresh extraction from the spec yields, `None`
+    /// where it cannot narrow.
+    fn extracted(opt: &CompiledOptimizer) -> Option<AnchorFilter> {
+        opt.patterns
+            .first()
+            .filter(|(_, ty)| *ty == ElemType::Stmt)
+            .and_then(|(c, _)| c.vars.first().map(|v| anchor_filter(c, v)))
+            .filter(AnchorFilter::narrows)
+    }
+
+    #[test]
+    fn every_anchor_chain_equals_a_fresh_extraction() {
+        let mut fused = Vec::new();
+        for opt in catalog().unwrap() {
+            let fresh = extracted(&opt);
+            assert_eq!(opt.anchor(), fresh.as_ref(), "{}: compiled chain", opt.name);
+            let copy = opt.with_strategy(Strategy::DepsFirst);
+            assert_eq!(copy.anchor(), fresh.as_ref(), "{}: strategy copy", opt.name);
+            if fresh.is_some() {
+                fused.push(opt.name);
+            }
+        }
+        // The statement anchors pin an opcode; the loop anchors do not.
+        assert_eq!(fused, ["CPP", "CTP", "DCE", "CFO"]);
+    }
+}
