@@ -3,12 +3,11 @@
 //! Robustness in this workspace is built from layered recovery
 //! mechanisms: the driver's degradation ladder (fused automaton → scan →
 //! full re-analysis), the guard's rollback/quarantine/parole and
-//! budget-aware transient retry, and the batch pool's per-file
-//! supervision. Each layer has unit tests; this crate tests the *whole
-//! stack at once* by driving every scripted [`FaultKind`] through every
-//! (optimizer × workload × probe point) cell and asserting, after each
-//! injected fault, the recovery invariants that make the layers
-//! trustworthy:
+//! budget-aware transient retry. Each layer has unit tests; this crate
+//! tests the *whole stack at once* by driving every scripted
+//! [`FaultKind`] through every (optimizer × workload × probe point) cell
+//! and asserting, after each injected fault, the recovery invariants
+//! that make the layers trustworthy:
 //!
 //! - **State restoration** — a rejected application leaves the program
 //!   bit-identical to the pre-fault checkpoint; a transparently recovered
@@ -105,18 +104,6 @@ impl ScriptResult {
     }
 }
 
-/// Mirrors the driver-facing slice of a [`GuardConfig`] so fault-free
-/// reference runs see the same budgets the guarded run does.
-fn session_options(guard: &GuardConfig) -> SessionOptions {
-    SessionOptions {
-        timeout_ms: guard.timeout_ms,
-        fuel: guard.fuel,
-        max_growth: guard.max_growth,
-        degraded_recovery: guard.degraded_recovery,
-        ..SessionOptions::default()
-    }
-}
-
 /// The fault-free result of applying `name` to `pre`: the program a
 /// transparent recovery must reproduce, or `Err` when even the clean run
 /// fails (then the recovered run must fail the same way).
@@ -126,7 +113,13 @@ fn clean_result(
     guard: &GuardConfig,
     name: &str,
 ) -> Result<Program, genesis::RunError> {
-    let mut s = Session::with_options(pre.clone(), session_options(guard));
+    // The guarded run's options, minus the dependence audit: the
+    // reference only needs the same budgets and ladder.
+    let opts = SessionOptions {
+        verify_deps: false,
+        ..guard.session
+    };
+    let mut s = Session::with_options(pre.clone(), opts);
     for opt in optimizers {
         s.register(opt.clone());
     }
@@ -299,8 +292,9 @@ pub fn minimize_sequence<T: Clone>(steps: &[T], fails: impl Fn(&[T]) -> bool) ->
 /// probe points to cross, under which guard configuration.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Base guard configuration for every cell (`verify_deps` is forced
-    /// on for corrupt-deps cells, where the verifier *is* the detector).
+    /// Base guard configuration for every cell (`session.verify_deps` is
+    /// forced on for corrupt-deps cells, where the verifier *is* the
+    /// detector).
     pub guard: GuardConfig,
     /// Seed for the generated workloads.
     pub seed: u64,
@@ -354,9 +348,12 @@ impl CampaignConfig {
             vectors: 2,
             vector_len: 6,
             step_limit: 500_000,
-            timeout_ms: Some(5_000),
             checkpoints: 4,
             parole_after: Some(2),
+            session: SessionOptions {
+                timeout_ms: Some(5_000),
+                ..GuardConfig::default().session
+            },
             ..GuardConfig::default()
         }
     }
@@ -587,13 +584,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                         // The analysis probe only exists at run entry.
                         continue;
                     }
-                    let guard = GuardConfig {
-                        // For a silently-stale graph the verifier is the
-                        // detector the ladder hangs off; everywhere else
-                        // it would only slow the matrix down.
-                        verify_deps: kind == FaultKind::CorruptDeps,
-                        ..cfg.guard.clone()
-                    };
+                    let mut guard = cfg.guard.clone();
+                    // For a silently-stale graph the verifier is the
+                    // detector the ladder hangs off; everywhere else it
+                    // would only slow the matrix down.
+                    guard.session.verify_deps = kind == FaultKind::CorruptDeps;
                     let steps =
                         cell_script(&opt.name, companion, kind, at, guard.parole_after);
                     let res = run_script(prog, &optimizers, &guard, &steps);

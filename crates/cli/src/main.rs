@@ -1,11 +1,12 @@
 //! `genesis-opt` — the optimizer GENesis constructs (the paper's "OPT"
 //! box in Figure 3): reads a MiniFor source program, converts it to the
 //! intermediate representation, computes dependences, and applies
-//! generated optimizers — in batch or through the §3 interactive
-//! interface (select optimizations, select application points, override
-//! dependence restrictions, control dependence recomputation).
+//! generated optimizers — in one non-interactive run or through the §3
+//! interactive interface (select optimizations, select application
+//! points, override dependence restrictions, control dependence
+//! recomputation).
 
-use genesis::{emit, ApplyMode, FaultPlan, Session, SessionOptions};
+use genesis::{emit, ApplyMode, CompiledOptimizer, FaultPlan, Session, SessionOptions};
 use genesis_guard::{GuardConfig, GuardOutcome, GuardedSession};
 use gospel_dep::DepGraph;
 use gospel_ir::{DisplayProgram, Program, StmtId};
@@ -32,13 +33,6 @@ USAGE:
         [--max-growth K] [--matcher fused|scan]
         [--inject KIND[@OPT][:N]]
         [--trace FILE] [--metrics] plus the apply options
-    genesis-opt batch <prog.mf>… [--seq <OPT>,<OPT>…] [--threads N]
-        apply a sequence to many programs in parallel (one session per
-        program, results in input order); self-healing: worker panics are
-        contained per file and transient failures retried
-        [--keep-going] [--retries N] [--file-timeout-ms N] [--report FILE]
-        also accepts [--source] [--inject PLAN] [--trace FILE] [--metrics]
-        plus the session options above
     genesis-opt explain <prog.mf> --opt <OPT> [--stmt sN]
         walk every anchor candidate through the fused automaton, the
         anchor format and the Depend section, and name the first failing
@@ -66,9 +60,6 @@ recovery paths. --no-degrade turns off the driver's degradation ladder
 --matcher picks the candidate searcher: `fused` (default) dispatches the
 whole catalog through one shared anchor automaton, `scan` walks every
 statement.
---keep-going drives the remaining batch files past a failure; --retries
-and --file-timeout-ms bound each file's attempts; --report FILE writes
-the structured per-file batch report as JSON.
 --trace FILE streams one JSON object per structured event (attempt
 spans, match outcomes, dependence-update counters, guard events) to
 FILE; --metrics prints an end-of-run counter/latency summary table.
@@ -169,7 +160,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             run_optimizers(prog, &names, args)
         }
-        "batch" => run_batch_command(args),
         "explain" => run_explain_command(args),
         "report" => run_report_command(args),
         "emit" => {
@@ -326,24 +316,21 @@ fn run_optimizers(prog: Program, names: &[&str], args: &[String]) -> Result<(), 
         return finish_trace(recorder.as_deref(), trace_path.as_deref(), metrics);
     }
 
+    let defaults = GuardConfig::default();
     let config = GuardConfig {
-        timeout_ms: opts.timeout_ms.or(GuardConfig::default().timeout_ms),
-        fuel: opts.fuel,
-        max_growth: opts.max_growth.or(GuardConfig::default().max_growth),
-        // `--validate` is the belt-and-braces mode: also audit the
-        // incrementally-maintained dependence graph every application.
-        verify_deps: true,
-        ..GuardConfig::default()
+        session: SessionOptions {
+            timeout_ms: opts.timeout_ms.or(defaults.session.timeout_ms),
+            max_growth: opts.max_growth.or(defaults.session.max_growth),
+            // `--validate` is the belt-and-braces mode: also audit the
+            // incrementally-maintained dependence graph every application.
+            verify_deps: true,
+            ..opts
+        },
+        ..defaults
     };
     let mut guarded = GuardedSession::new(prog, config);
     guarded.set_recorder(recorder.clone());
-    for opt in gospel_opts::catalog().map_err(|e| e.to_string())? {
-        guarded.register(opt);
-    }
-    for path in options(args, "--spec") {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let opt = gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))?;
-        println!("registered user optimization {}", opt.name);
+    for opt in session_optimizers(args)? {
         guarded.register(opt);
     }
     guarded.set_fault(fault);
@@ -391,141 +378,6 @@ fn run_optimizers(prog: Program, names: &[&str], args: &[String]) -> Result<(), 
     }
 }
 
-/// The `batch` command: one session per program file, fanned out over a
-/// self-healing worker pool (panic containment, transient-error retries,
-/// per-file deadlines), results printed in input order. By default the
-/// first ultimate failure aborts the remaining files; `--keep-going`
-/// drives every file regardless. The exit code is nonzero only when at
-/// least one file ultimately failed.
-fn run_batch_command(args: &[String]) -> Result<(), String> {
-    const VALUE_OPTS: [&str; 13] = [
-        "--seq",
-        "--threads",
-        "--trace",
-        "--trace-sample",
-        "--timeout-ms",
-        "--fuel",
-        "--max-growth",
-        "--matcher",
-        "--spec",
-        "--retries",
-        "--file-timeout-ms",
-        "--report",
-        "--inject",
-    ];
-    let mut files: Vec<String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_OPTS.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with("--") {
-            i += 1;
-        } else {
-            files.push(a.clone());
-            i += 1;
-        }
-    }
-    if files.is_empty() {
-        return Err("batch requires at least one program file".into());
-    }
-    let threads: usize = num_option(args, "--threads")?.unwrap_or(1);
-    let seq_text = option(args, "--seq");
-    let sequence: Vec<&str> = seq_text
-        .as_deref()
-        .map(|s| s.split(',').collect())
-        .unwrap_or_default();
-    let opts = parse_session_options(args)?;
-    let (recorder, trace_path, metrics) = parse_trace(args)?;
-
-    let mut optimizers: Vec<genesis::CompiledOptimizer> = Vec::new();
-    for opt in gospel_opts::catalog().map_err(|e| e.to_string())? {
-        optimizers.push(opt);
-    }
-    for path in options(args, "--spec") {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let opt = gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))?;
-        println!("registered user optimization {}", opt.name);
-        optimizers.push(opt);
-    }
-
-    let items = files
-        .iter()
-        .map(|f| {
-            Ok(genesis::BatchItem {
-                label: f.clone(),
-                prog: load_program(Some(f))?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-
-    let policy = genesis::BatchPolicy {
-        keep_going: flag(args, "--keep-going"),
-        retries: num_option(args, "--retries")?.unwrap_or(1),
-        file_timeout_ms: num_option(args, "--file-timeout-ms")?,
-        fault: parse_inject(args)?,
-    };
-
-    // Contained worker panics are reported per file; the default hook's
-    // backtrace spew would bury the batch report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let outcomes = genesis::run_batch(
-        items,
-        &optimizers,
-        &sequence,
-        opts,
-        &policy,
-        threads,
-        recorder.as_ref(),
-    );
-    std::panic::set_hook(prev_hook);
-
-    let total = outcomes.len();
-    let mut failures = 0usize;
-    for o in &outcomes {
-        match &o.status {
-            genesis::BatchStatus::Done(ok) => {
-                let retry_note = if o.attempts > 1 {
-                    format!(" ({} attempts)", o.attempts)
-                } else {
-                    String::new()
-                };
-                println!(
-                    "== {}: {} application(s), cost {}{retry_note}",
-                    o.label, ok.applications, ok.cost
-                );
-                if flag(args, "--source") {
-                    print!("{}", gospel_frontend::unparse(&ok.prog));
-                } else {
-                    print!("{}", DisplayProgram(&ok.prog));
-                }
-            }
-            genesis::BatchStatus::Failed(e) => {
-                failures += 1;
-                println!(
-                    "== {}: error after {} attempt(s): {e}",
-                    o.label, o.attempts
-                );
-            }
-            genesis::BatchStatus::Skipped => {
-                println!("== {}: skipped (earlier failure, no --keep-going)", o.label);
-            }
-        }
-    }
-    if let Some(path) = option(args, "--report") {
-        std::fs::write(&path, batch_report_json(&outcomes))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    finish_trace(recorder.as_deref(), trace_path.as_deref(), metrics)?;
-    if failures > 0 {
-        Err(format!("{failures} of {total} program(s) failed"))
-    } else {
-        Ok(())
-    }
-}
-
 /// The `explain` command: replay one optimizer's match funnel over every
 /// anchor candidate of a program and narrate where each candidate died —
 /// the automaton edge, the format conjunct, or the dependence clause.
@@ -536,12 +388,10 @@ fn run_explain_command(args: &[String]) -> Result<(), String> {
     // Assemble the same catalog a session would register (plus any
     // --spec additions) so the fused automaton's trie — and therefore
     // the replayed admission path — matches a real run's.
-    let mut optimizers: Vec<genesis::CompiledOptimizer> =
+    let mut optimizers: Vec<CompiledOptimizer> =
         gospel_opts::catalog().map_err(|e| e.to_string())?;
     for path in options(args, "--spec") {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let opt = gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))?;
-        optimizers.push(opt);
+        optimizers.push(compile_spec_file(&path)?);
     }
     let opt = optimizers
         .iter()
@@ -610,50 +460,6 @@ fn run_report_command(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The structured per-file batch report (`--report FILE`): one entry per
-/// input slot with status, attempt count and elapsed time.
-fn batch_report_json(outcomes: &[genesis::BatchOutcome]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"files\": [\n");
-    let (mut done, mut failed, mut skipped) = (0usize, 0usize, 0usize);
-    for (i, o) in outcomes.iter().enumerate() {
-        out.push_str("    {\"file\": ");
-        gospel_trace::write_json_string(&o.label, &mut out);
-        let _ = write!(out, ", \"attempts\": {}, \"elapsed_ms\": {}", o.attempts, o.elapsed_ms);
-        match &o.status {
-            genesis::BatchStatus::Done(ok) => {
-                done += 1;
-                let _ = write!(
-                    out,
-                    ", \"status\": \"done\", \"applications\": {}, \"cost\": {}",
-                    ok.applications,
-                    ok.cost.total()
-                );
-            }
-            genesis::BatchStatus::Failed(e) => {
-                failed += 1;
-                out.push_str(", \"status\": \"failed\", \"error\": ");
-                gospel_trace::write_json_string(&e.to_string(), &mut out);
-            }
-            genesis::BatchStatus::Skipped => {
-                skipped += 1;
-                out.push_str(", \"status\": \"skipped\"");
-            }
-        }
-        out.push('}');
-        if i + 1 < outcomes.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    let _ = write!(
-        out,
-        "  ],\n  \"total\": {}, \"done\": {done}, \"failed\": {failed}, \"skipped\": {skipped}\n}}\n",
-        outcomes.len()
-    );
-    out
-}
-
 /// Parsed `--trace FILE` / `--metrics` options: the recorder (created
 /// when either flag is present), the trace path, and the metrics flag.
 type TraceOpts = (Option<Arc<Recorder>>, Option<String>, bool);
@@ -706,22 +512,34 @@ fn build_session_with_options(
     opts: SessionOptions,
 ) -> Result<Session, String> {
     let mut session = Session::with_options(prog, opts);
-    for opt in gospel_opts::catalog().map_err(|e| e.to_string())? {
-        session.register(opt);
-    }
-    for path in options(args, "--spec") {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let opt = gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))?;
-        println!("registered user optimization {}", opt.name);
+    for opt in session_optimizers(args)? {
         session.register(opt);
     }
     Ok(session)
 }
 
-fn find_opt(name: &str, args: &[String]) -> Result<genesis::CompiledOptimizer, String> {
+/// Reads and compiles one `--spec FILE`.
+fn compile_spec_file(path: &str) -> Result<CompiledOptimizer, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))
+}
+
+/// What a session registers, in order: the catalog, then every
+/// `--spec FILE` (announced on stdout; a same-named spec replaces the
+/// catalog entry).
+fn session_optimizers(args: &[String]) -> Result<Vec<CompiledOptimizer>, String> {
+    let mut optimizers = gospel_opts::catalog().map_err(|e| e.to_string())?;
     for path in options(args, "--spec") {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        let opt = gospel_opts::compile_spec(&src).map_err(|e| format!("{path}: {e}"))?;
+        let opt = compile_spec_file(&path)?;
+        println!("registered user optimization {}", opt.name);
+        optimizers.push(opt);
+    }
+    Ok(optimizers)
+}
+
+fn find_opt(name: &str, args: &[String]) -> Result<CompiledOptimizer, String> {
+    for path in options(args, "--spec") {
+        let opt = compile_spec_file(&path)?;
         if opt.name.eq_ignore_ascii_case(name) {
             return Ok(opt);
         }

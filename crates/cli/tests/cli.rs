@@ -542,3 +542,41 @@ fn trace_sample_keeps_counters_while_dropping_spans() {
         "sampling must drop attempt spans"
     );
 }
+
+#[test]
+fn validate_keeps_the_session_flags() {
+    let prog = write_prog();
+    let path = prog.0.to_str().unwrap();
+    // `--matcher scan` reaches the guarded session: nothing is dispatched
+    // through the fused automaton.
+    let out = run_ok(&["seq", path, "CTP,DCE", "--validate", "--matcher", "scan", "--metrics"]);
+    assert!(out.contains("driver.applications"), "{out}");
+    assert!(!out.contains("search.fused"), "{out}");
+
+    // So does `--trace-sample`: the guarded run records fewer attempt
+    // spans than an unsampled one.
+    let full = tempfile_path::write("");
+    let sampled = tempfile_path::write("");
+    run_ok(&["seq", path, "CTP,DCE", "--validate", "--trace", full.0.to_str().unwrap()]);
+    run_ok(&[
+        "seq",
+        path,
+        "CTP,DCE",
+        "--validate",
+        "--trace",
+        sampled.0.to_str().unwrap(),
+        "--trace-sample",
+        "100",
+    ]);
+    let attempts = |path: &std::path::Path| {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter(|l| l.contains("\"name\":\"driver.attempt\""))
+            .count()
+    };
+    assert!(
+        attempts(&sampled.0) < attempts(&full.0),
+        "--trace-sample must reach the guarded session"
+    );
+}

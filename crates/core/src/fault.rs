@@ -141,8 +141,8 @@ impl FaultPlan {
     }
 
     /// A copy of this plan with a fresh (zeroed) fire counter — unlike
-    /// `clone`, which shares the counter. Batch supervision uses this to
-    /// arm the same scripted fault independently per file.
+    /// `clone`, which shares the counter. The chaos campaign uses this to
+    /// arm the same scripted fault independently per step.
     pub fn rearmed(&self) -> FaultPlan {
         FaultPlan {
             kind: self.kind,

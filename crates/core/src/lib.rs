@@ -47,7 +47,6 @@
 
 mod actions;
 mod automaton;
-pub mod batch;
 mod caches;
 mod compile;
 mod cost;
@@ -62,7 +61,6 @@ mod session;
 mod solve;
 
 pub use automaton::{anchor_filter, AdmissionVerdict, AnchorFilter, FusedAutomaton};
-pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, BatchSuccess};
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;

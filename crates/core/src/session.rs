@@ -42,8 +42,8 @@ pub struct SessionOptions {
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
     /// trouble (see [`crate::Driver::degraded_recovery`]). On by default
-    /// for sessions: an interactive or batch run prefers a slower, healed
-    /// apply over an aborted one, and every fall is visible through the
+    /// for sessions: a session prefers a slower, healed apply over an
+    /// aborted one, and every fall is visible through the
     /// `search.degraded.<reason>` counters.
     pub degraded_recovery: bool,
     /// Attempt-span sampling rate: trace one in every N

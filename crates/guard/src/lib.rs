@@ -40,7 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use genesis::{ApplyMode, ApplyReport, CompiledOptimizer, FaultPlan, RunError, Session};
+use genesis::{
+    ApplyMode, ApplyReport, CompiledOptimizer, FaultPlan, RunError, Session, SessionOptions,
+};
 use gospel_exec::{ExecError, ExecValue, Trace};
 use gospel_ir::Program;
 use gospel_trace::{Recorder, Span, Value};
@@ -62,34 +64,24 @@ pub struct GuardConfig {
     pub seed: u64,
     /// Interpreter step budget per execution.
     pub step_limit: u64,
-    /// Wall-clock budget per apply, in milliseconds.
-    pub timeout_ms: Option<u64>,
-    /// Search-cost budget per apply.
-    pub fuel: Option<u64>,
-    /// Growth cap: abort when the program exceeds this multiple of its
-    /// pre-apply statement count.
-    pub max_growth: Option<u32>,
     /// Snapshot-ring capacity (older checkpoints fall off the end).
     pub checkpoints: usize,
-    /// Cross-check the driver's incrementally-maintained dependence graph
-    /// against a fresh full analysis after every application (the
-    /// `--validate` belt-and-braces mode; slow but airtight).
-    pub verify_deps: bool,
     /// Retry an apply once when it fails with a *transient* error
     /// (wall-clock timeout or fuel exhaustion). The retry is budget-aware:
-    /// the overall wall-clock allowance is twice [`Self::timeout_ms`], and
-    /// the retry only gets whatever of it the first attempt left over.
+    /// the overall wall-clock allowance is twice the session's
+    /// [`SessionOptions::timeout_ms`], and the retry only gets whatever
+    /// of it the first attempt left over.
     pub retry_transient: bool,
     /// Parole: a first-offense quarantined optimizer becomes eligible for
     /// one retrial after this many *clean* applications of other
     /// optimizers. A second quarantining offense is permanent. `None`
     /// disables parole (quarantine is final, the pre-parole behaviour).
     pub parole_after: Option<usize>,
-    /// Let the driver degrade (fused automaton → scan → full
-    /// re-analysis) on internal cache inconsistencies instead of
-    /// hard-aborting the apply. See
-    /// [`genesis::SessionOptions::degraded_recovery`].
-    pub degraded_recovery: bool,
+    /// The wrapped session's options: its budgets (wall clock, fuel,
+    /// growth cap), matcher, dependence auditing (`verify_deps`, the
+    /// `--validate` belt-and-braces mode), degradation ladder and trace
+    /// sampling. The default caps each apply at 10 s and 16× growth.
+    pub session: SessionOptions,
 }
 
 impl Default for GuardConfig {
@@ -99,14 +91,14 @@ impl Default for GuardConfig {
             vector_len: 8,
             seed: 0x00C0_FFEE,
             step_limit: 2_000_000,
-            timeout_ms: Some(10_000),
-            fuel: None,
-            max_growth: Some(16),
             checkpoints: 8,
-            verify_deps: false,
             retry_transient: true,
             parole_after: Some(3),
-            degraded_recovery: true,
+            session: SessionOptions {
+                timeout_ms: Some(10_000),
+                max_growth: Some(16),
+                ..SessionOptions::default()
+            },
         }
     }
 }
@@ -261,13 +253,7 @@ impl GuardedSession {
         .into_iter()
         .map(|v| v.into_iter().map(ExecValue::Int).collect())
         .collect();
-        let mut session = Session::new(prog);
-        let opts = session.options_mut();
-        opts.timeout_ms = config.timeout_ms;
-        opts.fuel = config.fuel;
-        opts.max_growth = config.max_growth;
-        opts.verify_deps = config.verify_deps;
-        opts.degraded_recovery = config.degraded_recovery;
+        let session = Session::with_options(prog, config.session);
         GuardedSession {
             session,
             config,
@@ -461,6 +447,7 @@ impl GuardedSession {
             // the failed attempt left over.
             let remaining = self
                 .config
+                .session
                 .timeout_ms
                 .map(|ms| (2 * ms).saturating_sub(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)));
             if remaining == Some(0) {
@@ -488,7 +475,7 @@ impl GuardedSession {
                 );
             }
         };
-        self.session.options_mut().timeout_ms = self.config.timeout_ms;
+        self.session.options_mut().timeout_ms = self.config.session.timeout_ms;
 
         let canonical = self
             .session
@@ -1081,7 +1068,7 @@ mod tests {
         // The per-attempt budget is restored after the retry dance.
         assert_eq!(
             s.session().options().timeout_ms,
-            GuardConfig::default().timeout_ms
+            GuardConfig::default().session.timeout_ms
         );
     }
 
@@ -1118,7 +1105,10 @@ END
         let mut s = GuardedSession::new(
             compile("program p\ninteger x\nx = 1\nwrite x\nend"),
             GuardConfig {
-                max_growth: Some(4),
+                session: SessionOptions {
+                    max_growth: Some(4),
+                    ..GuardConfig::default().session
+                },
                 ..GuardConfig::default()
             },
         );

@@ -208,8 +208,8 @@ pub enum Payload {
     /// The span id of a [`EventKind::SpanOpen`] or [`EventKind::SpanClose`].
     Span(u64),
     /// A [`EventKind::Counter`]'s increment and its running total after
-    /// it. The total is stamped when the event is read (drained,
-    /// snapshotted or merged); until then it is zero.
+    /// it. The total is stamped when the event is read (drained or
+    /// snapshotted); until then it is zero.
     Counter {
         /// The increment.
         delta: u64,
@@ -431,22 +431,6 @@ impl HistogramSnapshot {
         self.sum = self.sum.saturating_add(value.saturating_mul(weight));
         let bucket = (64 - u64::leading_zeros(value.max(1))).saturating_sub(1) as usize;
         self.buckets[bucket.min(63)] += weight;
-    }
-
-    /// Folds another snapshot into this one bucket-wise — the histogram
-    /// half of recorder merging.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.min = match (self.count, other.count) {
-            (_, 0) => self.min,
-            (0, _) => other.min,
-            _ => self.min.min(other.min),
-        };
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets) {
-            *b += o;
-        }
     }
 }
 
@@ -784,80 +768,6 @@ mod imp {
             std::mem::take(&mut inner.events)
         }
 
-        /// Folds another recorder's buffered events and metric totals
-        /// into this one, emptying `other`. The batch driver gives each
-        /// worker thread its own recorder and merges them after the
-        /// scope joins, so `--metrics` reports one coherent stream.
-        ///
-        /// Merged events are re-stamped with this recorder's sequence
-        /// numbers (their relative order is preserved) and their span
-        /// ids are offset past this recorder's, so ids never collide.
-        /// Counter events are re-based onto this recorder's running
-        /// totals — the per-name `value` sequence stays monotone and
-        /// still satisfies `value == previous total + delta`. Counter
-        /// totals that `other` accumulated before a `drain_events` call
-        /// (no event left to replay) are folded into the totals map
-        /// directly. Timestamps keep each worker's own clock origin;
-        /// order across merged recorders by `seq`, not `ts_ns`.
-        pub fn merge_from(&self, other: &Recorder) {
-            let taken = {
-                let mut other = other.lock();
-                other.settle();
-                std::mem::take(&mut *other)
-            };
-            let mut inner = self.lock();
-            inner.settle();
-            // Residuals first: totals from `other` whose events are gone
-            // (drained earlier) still belong in the merged totals.
-            let mut replayed: BTreeMap<&str, u64> = BTreeMap::new();
-            for ev in &taken.events {
-                if let Payload::Counter { delta, .. } = ev.payload {
-                    *replayed.entry(ev.name.as_ref()).or_insert(0) += delta;
-                }
-            }
-            for (name, total) in &taken.counters {
-                let rest = total.saturating_sub(replayed.get(name.as_str()).copied().unwrap_or(0));
-                if rest > 0 {
-                    *inner.counters.entry(name.clone()).or_insert(0) += rest;
-                }
-            }
-            drop(replayed);
-            let span_base = inner.next_span;
-            for mut ev in taken.events {
-                if let Payload::Span(id) = &mut ev.payload {
-                    *id += span_base;
-                }
-                if let Payload::Counter { delta, .. } = ev.payload {
-                    let total = match inner.counters.get_mut(ev.name.as_ref()) {
-                        Some(t) => {
-                            *t = t.saturating_add(delta);
-                            *t
-                        }
-                        None => {
-                            inner.counters.insert(ev.name.to_string(), delta);
-                            delta
-                        }
-                    };
-                    ev.payload = Payload::Counter {
-                        delta,
-                        value: total,
-                    };
-                }
-                self.push(&mut inner, ev);
-            }
-            inner.unsettled = inner.events.len();
-            inner.next_span += taken.next_span;
-            inner.open_spans += taken.open_spans;
-            for (name, h) in taken.histograms {
-                match inner.histograms.get_mut(&name) {
-                    None => {
-                        inner.histograms.insert(name, h);
-                    }
-                    Some(mine) => mine.merge(&h),
-                }
-            }
-        }
-
         /// Number of spans currently open (opened but not yet closed).
         pub fn open_spans(&self) -> u64 {
             self.lock().open_spans
@@ -1065,10 +975,6 @@ mod imp {
             Vec::new()
         }
 
-        /// Inert: there is nothing to merge.
-        #[inline]
-        pub fn merge_from(&self, _other: &Recorder) {}
-
         /// Always zero.
         #[inline]
         pub fn open_spans(&self) -> u64 {
@@ -1234,78 +1140,6 @@ mod tests {
         assert_eq!(Name::from("x"), Name::from("x".to_string()));
         assert_eq!(owned.to_string(), "search.fused.dispatched.CTP");
         assert_eq!(Value::str(literal.clone()), Value::Str(owned));
-    }
-
-    #[test]
-    fn merge_preserves_totals_monotonicity_and_span_identity() {
-        let main = Arc::new(Recorder::new());
-        main.add("shared", 10);
-        main.observe("lat_ns", 100);
-        let s = Span::open(Some(&main), "main.work", &[]);
-        s.close(&[]);
-
-        let worker = Arc::new(Recorder::new());
-        worker.add("shared", 5);
-        worker.add("worker.only", 2);
-        worker.observe("lat_ns", 300);
-        let s = Span::open(Some(&worker), "worker.work", &[]);
-        s.close(&[]);
-        // Totals accumulated before a drain must survive the merge even
-        // though their events are gone.
-        let pre_drain = worker.drain_events();
-        assert!(!pre_drain.is_empty());
-        worker.add("shared", 1);
-
-        main.merge_from(&worker);
-        assert_eq!(main.counter("shared"), 16);
-        assert_eq!(main.counter("worker.only"), 2);
-        assert_eq!(worker.counter("shared"), 0, "merge empties the source");
-
-        let events = main.drain_events();
-        // seq re-stamped densely, counter values monotone per name, and
-        // value == running total after each delta
-        let mut totals: std::collections::BTreeMap<String, u64> = Default::default();
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-            if e.kind == EventKind::Counter {
-                let t = totals.entry(e.name.to_string()).or_insert(0);
-                *t += e.delta().unwrap();
-                assert!(e.value().unwrap() >= *t, "merged counter went backwards");
-            }
-        }
-        // span ids from the worker were offset, not reused
-        let main_spans: Vec<u64> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanOpen)
-            .map(|e| e.span().unwrap())
-            .collect();
-        assert_eq!(main_spans.len(), 1); // worker's span events were drained above
-        let hist = main.histograms();
-        let (_, lat) = hist.iter().find(|(n, _)| n == "lat_ns").unwrap();
-        assert_eq!(lat.count, 2);
-        assert_eq!(lat.sum, 400);
-        assert_eq!(lat.min, 100);
-        assert_eq!(lat.max, 300);
-    }
-
-    #[test]
-    fn merge_offsets_span_ids_of_buffered_spans() {
-        let main = Arc::new(Recorder::new());
-        let s = Span::open(Some(&main), "main.work", &[]);
-        s.close(&[]);
-        let worker = Arc::new(Recorder::new());
-        let s = Span::open(Some(&worker), "worker.work", &[]);
-        s.close(&[]);
-        main.merge_from(&worker);
-        let ids: Vec<u64> = main
-            .drain_events()
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanOpen)
-            .map(|e| e.span().unwrap())
-            .collect();
-        assert_eq!(ids.len(), 2);
-        assert_ne!(ids[0], ids[1], "merged span ids must not collide");
-        assert_eq!(main.open_spans(), 0);
     }
 
     #[test]

@@ -127,12 +127,11 @@ const FUNNEL_ORDER: [&str; 7] = [
 ];
 
 /// `(label, counter prefix)` pairs folded into the incident summary.
-const INCIDENTS: [(&str, &str); 7] = [
+const INCIDENTS: [(&str, &str); 6] = [
     ("degraded_searches", "search.degraded"),
     ("transient_retries", "guard.transient_retries"),
     ("parole_returns", "guard.parole"),
     ("quarantines", "guard.quarantines"),
-    ("file_retries", "batch.file_retry"),
     ("guard_rollbacks", "guard.rollbacks"),
     ("action_rollbacks", "driver.action_rollbacks"),
 ];
@@ -152,7 +151,9 @@ pub struct Report {
     pub funnels: Vec<FunnelRow>,
     /// Every counter total (deltas summed across traces).
     pub counters: BTreeMap<String, u64>,
-    /// Degradation/retry/parole incidence, in [`INCIDENTS`] order.
+    /// `(label, total)` incidence rows, in a fixed order: degraded
+    /// searches, transient retries, parole returns, quarantines, guard
+    /// rollbacks and action rollbacks.
     pub incidents: Vec<(String, u64)>,
     /// Total search time reported by `driver.attempt` closes,
     /// sample-weight corrected.
@@ -173,8 +174,8 @@ impl Report {
 
         for trace in traces {
             // Open-span stack for self-time attribution. Spans nest
-            // LIFO within one trace stream (merged recorders offset
-            // ids, so ids are unique).
+            // LIFO within one trace stream, and a recorder never reuses
+            // a span id.
             let mut stack: Vec<(u64, u64)> = Vec::new(); // (span id, child_ns)
             for ev in trace {
                 events += 1;

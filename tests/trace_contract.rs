@@ -16,10 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use genesis::{
-    run_batch, ApplyMode, BatchItem, BatchPolicy, FaultKind, FaultPlan, MatcherKind, Session,
-    SessionOptions,
-};
+use genesis::{ApplyMode, FaultKind, FaultPlan, MatcherKind, Session, SessionOptions};
 use genesis_guard::{GuardConfig, GuardOutcome, GuardedSession};
 use gospel_opts::interaction::natural_mode;
 use gospel_trace::{Event, EventKind, Recorder, Value};
@@ -225,10 +222,8 @@ const CASCADE: &str = "program d\ninteger x, y, z\nx = 3\ny = x\nz = y\nwrite z\
 fn record_degraded_run() -> Vec<Event> {
     let rec = Arc::new(Recorder::new());
     let prog = gospel_frontend::compile(CASCADE).unwrap();
-    let cfg = GuardConfig {
-        verify_deps: true,
-        ..GuardConfig::default()
-    };
+    let mut cfg = GuardConfig::default();
+    cfg.session.verify_deps = true;
     let mut gs = GuardedSession::new(prog, cfg);
     gs.set_recorder(Some(rec.clone()));
     gs.register(gospel_opts::by_name("CTP"));
@@ -273,37 +268,6 @@ fn record_parole_run() -> Vec<Event> {
     rec.drain_events()
 }
 
-/// Runs a three-file batch whose every file hits a transient timeout once
-/// (per-file re-armed plans), so the supervisor retries each exactly once.
-fn record_batch_retry_run() -> Vec<Event> {
-    let rec = Arc::new(Recorder::new());
-    let items: Vec<BatchItem> = (0..3)
-        .map(|i| BatchItem {
-            label: format!("file{i}"),
-            prog: gospel_frontend::compile(CASCADE).unwrap(),
-        })
-        .collect();
-    let opts = vec![gospel_opts::by_name("CTP")];
-    let policy = BatchPolicy {
-        fault: Some(FaultPlan::new(FaultKind::Timeout).transient()),
-        ..BatchPolicy::default()
-    };
-    let outcomes = run_batch(
-        items,
-        &opts,
-        &["CTP"],
-        SessionOptions::default(),
-        &policy,
-        2,
-        Some(&rec),
-    );
-    for o in &outcomes {
-        assert!(o.status.is_done(), "{}: {:?}", o.label, o.status);
-        assert_eq!(o.attempts, 2, "{}: expected exactly one retry", o.label);
-    }
-    rec.drain_events()
-}
-
 /// One event with `name` carrying `field == value`, or panic.
 fn assert_event_with(events: &[Event], name: &str, field: &str, value: &str) {
     assert!(
@@ -342,31 +306,6 @@ fn parole_lifecycle_is_traced_from_trial_to_release() {
         .filter_map(|e| e.delta())
         .sum();
     assert!(paroles >= 2, "trial and release must both bump guard.parole");
-}
-
-#[test]
-fn batch_retries_are_counted_and_attributed_per_file() {
-    let events = record_batch_retry_run();
-    assert_counters_monotone(&events);
-    assert_spans_balanced(&events);
-    let retries: u64 = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Counter && e.name == "batch.file_retry")
-        .filter_map(|e| e.delta())
-        .sum();
-    assert_eq!(retries, 3, "one retry per file, no more");
-    for i in 0..3 {
-        assert_event_with(&events, "batch.file_retry", "file", &format!("file{i}"));
-    }
-    for e in events
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "batch.file_retry")
-    {
-        assert!(
-            e.field("error").is_some() && e.field("attempt").is_some(),
-            "a retry event must say what failed and on which attempt"
-        );
-    }
 }
 
 #[test]
