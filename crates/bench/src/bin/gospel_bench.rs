@@ -27,7 +27,9 @@
 //! [`genesis::FusedAutomaton`] built once up front under the fused
 //! matcher.
 
-use genesis::{ApplyMode, ApplyReport, Driver, FusedAutomaton, MatcherKind, SessionCaches};
+use genesis::{
+    ApplyMode, ApplyReport, Driver, FusedAutomaton, MatcherKind, SessionCaches, SessionOptions,
+};
 use gospel_ir::{DisplayProgram, Program};
 use gospel_trace::report::{compare_metrics, Regression};
 use gospel_trace::Recorder;
@@ -131,13 +133,20 @@ fn run_chain(
     if matcher == MatcherKind::Fused {
         caches.automaton = Some(FusedAutomaton::build(opts, &prog));
     }
+    // A verified chain is an oracle: a divergence the verifier finds must
+    // fail it, not heal.
+    let options = SessionOptions {
+        incremental_deps: incremental,
+        verify_deps: verify,
+        degraded_recovery: false,
+        matcher,
+        trace_sample,
+        ..SessionOptions::default()
+    };
     for opt in opts {
         let mut d = Driver::new(opt);
-        d.incremental_deps = incremental;
-        d.verify_deps = verify;
-        d.matcher = matcher;
+        d.options = options;
         d.recorder = recorder.cloned();
-        d.trace_sample = trace_sample;
         if !incremental {
             caches.deps = None;
         }

@@ -349,7 +349,7 @@ impl CampaignConfig {
             vector_len: 6,
             step_limit: 500_000,
             checkpoints: 4,
-            parole_after: Some(2),
+            parole_after: 2,
             session: SessionOptions {
                 timeout_ms: Some(5_000),
                 ..GuardConfig::default().session
@@ -501,7 +501,7 @@ fn cell_script(
     companion: Option<&str>,
     kind: FaultKind,
     at: usize,
-    parole_after: Option<usize>,
+    parole_after: usize,
 ) -> Vec<Step> {
     let mut plan = FaultPlan::new(kind).for_optimizer(optimizer).at(at);
     if matches!(kind, FaultKind::Timeout | FaultKind::Fuel) {
@@ -515,8 +515,8 @@ fn cell_script(
         expect,
     }];
     let quarantines = matches!(expect, Expect::RejectedAt { quarantines: true, .. });
-    if let (true, Some(n), Some(companion)) = (quarantines, parole_after, companion) {
-        for _ in 0..n {
+    if let (true, Some(companion)) = (quarantines, companion) {
+        for _ in 0..parole_after {
             steps.push(Step {
                 optimizer: companion.to_string(),
                 fault: None,

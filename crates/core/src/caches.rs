@@ -30,8 +30,8 @@ use crate::compile::CompiledOptimizer;
 #[derive(Clone, Debug, Default)]
 pub struct SessionCaches {
     /// Dependence graph describing the current program exactly, when the
-    /// last run kept it current (same contract as the old per-session
-    /// `Option<DepGraph>` cache).
+    /// last run kept it current (the contract is
+    /// [`crate::Driver::apply_with`]'s).
     pub deps: Option<DepGraph>,
     /// The fused anchor automaton over the registered catalog, maintained
     /// by delta replay across applies — including applies under the scan

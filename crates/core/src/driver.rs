@@ -9,6 +9,7 @@ use crate::cost::Cost;
 use crate::error::RunError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::rt::Bindings;
+use crate::session::SessionOptions;
 use crate::solve::{SearchTally, Searcher, StrategyLog};
 use gospel_dep::{DepGraph, DepUpdate, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
@@ -38,8 +39,7 @@ pub enum MatcherKind {
 }
 
 impl MatcherKind {
-    /// Parses the CLI/environment spelling (`fused`/`scan`,
-    /// case-insensitive).
+    /// Parses the CLI spelling (`fused`/`scan`, case-insensitive).
     pub fn parse(s: &str) -> Option<MatcherKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "fused" => Some(MatcherKind::Fused),
@@ -115,81 +115,27 @@ pub struct MatchSet {
 #[derive(Clone, Debug)]
 pub struct Driver<'o> {
     opt: &'o CompiledOptimizer,
-    /// Application budget for [`ApplyMode::AllPoints`]; exceeded → the
-    /// specification's actions do not invalidate its precondition.
-    pub max_applications: usize,
-    /// Recompute the dependence graph between applications (the paper lets
-    /// the user decide; correctness of chained applications needs it).
-    pub recompute_deps: bool,
-    /// Refresh the graph with [`DepGraph::update`] from the application's
-    /// edit delta instead of a full re-`analyze` (falls back automatically
-    /// on structural edits). Also lets the next search resume from the
-    /// delta's dirty frontier instead of rescanning from the top.
-    pub incremental_deps: bool,
-    /// After every incremental refresh, cross-check the maintained graph
-    /// against a fresh full analysis and fail loudly on any disagreement.
-    pub verify_deps: bool,
-    /// Wall-clock budget for one [`Driver::apply`] call, checked between
-    /// applications (a single search is never interrupted mid-flight).
-    pub timeout_ms: Option<u64>,
-    /// Search-cost budget: abort once the accumulated [`Cost::total`]
-    /// passes this.
-    pub fuel: Option<u64>,
-    /// Absolute statement-count cap, checked after each commit; the
-    /// caller usually derives it as k× the original program size.
-    pub max_stmts: Option<usize>,
-    /// Which candidate-enumeration machinery to search with — the fused
-    /// catalog automaton (the default) or full program scans. Identical
-    /// bindings in either mode. The automaton is only consulted while
-    /// `recompute_deps` keeps program order fresh.
-    pub matcher: MatcherKind,
-    /// Degrade instead of hard-aborting on dependence-maintenance
-    /// trouble: a failed [`DepGraph::update`] falls back to a full
-    /// analysis, and a verifier-caught divergence adopts the fresh graph
-    /// and reclassifies the automaton, each recorded via
-    /// `search.degraded.<reason>` counters. Off by default so the bare
-    /// driver keeps its strict fail-loudly semantics (the differential
-    /// and bench oracles depend on it); sessions enable it.
-    pub degraded_recovery: bool,
+    /// The run's knobs — the same set a [`crate::Session`] applies with.
+    pub options: SessionOptions,
     /// Scripted fault to inject at the matching probe point (tests the
     /// recovery machinery around the driver).
     pub fault: Option<FaultPlan>,
     /// Structured-event sink: when set, the driver emits per-attempt
     /// spans, match outcomes, dependence-refresh counters and cost
-    /// counters into it. `None` (the default) records nothing; with the
-    /// `trace` feature off every call below compiles to a no-op anyway.
+    /// counters into it. `None` (the default) records nothing.
     pub recorder: Option<Arc<Recorder>>,
-    /// Attempt-span sampling: record the `driver.attempt` span and its
-    /// per-attempt timing observations for one in every N attempts
-    /// (`0`/`1` = every attempt). The 1-in-N phase is the recorder's
-    /// ([`Recorder::sample`]), so it runs on across the runs sharing one
-    /// recorder instead of restarting with every run. Sampled-in spans
-    /// carry a `sample` field and their histogram observations are
-    /// weighted by N, so latency estimates stay unbiased; counters are
-    /// exact regardless — they flush through `RunTotals`, not the span
-    /// stream. This is what keeps large generator programs under the
-    /// trace-overhead gate.
-    pub trace_sample: u64,
 }
 
 impl<'o> Driver<'o> {
-    /// A driver with the defaults the paper's interface uses: recompute
-    /// dependences, generous application budget, no resource limits.
+    /// A driver with the session defaults ([`SessionOptions::default`]):
+    /// recompute dependences, generous application budget, no resource
+    /// limits.
     pub fn new(opt: &'o CompiledOptimizer) -> Driver<'o> {
         Driver {
             opt,
-            max_applications: 10_000,
-            recompute_deps: true,
-            incremental_deps: true,
-            verify_deps: false,
-            timeout_ms: None,
-            fuel: None,
-            max_stmts: None,
-            matcher: MatcherKind::Fused,
-            degraded_recovery: false,
+            options: SessionOptions::default(),
             fault: None,
             recorder: None,
-            trace_sample: 1,
         }
     }
 
@@ -251,37 +197,18 @@ impl<'o> Driver<'o> {
         self.apply_with(prog, mode, &mut caches)
     }
 
-    /// Like [`Driver::apply`] but reusing (and refreshing) a dependence
-    /// graph carried across calls — a session chaining several optimizers
-    /// over one program skips every per-optimizer initial analysis.
-    ///
-    /// On entry a `Some` cache must describe `prog` exactly as a fresh
-    /// [`DepGraph::analyze`] would. On success the cache holds the final
-    /// program's graph whenever the driver kept it current; it is left
-    /// `None` after a run with `recompute_deps` off, after a one-shot
-    /// mode without incremental maintenance, and on any error.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Driver::apply`].
-    pub fn apply_cached(
-        &mut self,
-        prog: &mut Program,
-        mode: ApplyMode,
-        cache: &mut Option<DepGraph>,
-    ) -> Result<ApplyReport, RunError> {
-        let mut caches = SessionCaches::new();
-        caches.deps = cache.take();
-        let result = self.apply_with(prog, mode, &mut caches);
-        *cache = caches.deps.take();
-        result
-    }
-
     /// The full cached-state entry point: runs the optimizer per `mode`
     /// while reusing *and maintaining* the session search state in
     /// `caches` — the dependence graph and the fused automaton. Each
     /// committed delta is replayed into both; any exit that cannot argue
     /// a structure's consistency drops it instead of publishing it back.
+    ///
+    /// On entry a carried dependence graph must describe `prog` exactly
+    /// as a fresh [`DepGraph::analyze`] would. On success `caches.deps`
+    /// holds the final program's graph whenever the driver kept it
+    /// current; it is left `None` after a run with `recompute_deps` off,
+    /// after a one-shot mode without incremental maintenance, and on any
+    /// error.
     ///
     /// # Errors
     ///
@@ -292,6 +219,11 @@ impl<'o> Driver<'o> {
         mode: ApplyMode,
         caches: &mut SessionCaches,
     ) -> Result<ApplyReport, RunError> {
+        let opts = self.options;
+        // The growth cap: a multiple of the statement count on entry.
+        let growth_cap = opts
+            .max_growth
+            .map(|k| (k as usize).saturating_mul(prog.len().max(1)));
         let rec = self.recorder.clone();
         let mut totals = RunTotals::default();
         totals.recorder = rec.clone().map(|r| (r, self.opt));
@@ -326,7 +258,7 @@ impl<'o> Driver<'o> {
         // (`search.degraded.stale_order`). A session-carried automaton is
         // kept fresh by delta replay even under the scan matcher, so it
         // never silently goes stale for the next fused apply.
-        let use_fused = self.matcher == MatcherKind::Fused && self.recompute_deps;
+        let use_fused = opts.matcher == MatcherKind::Fused && opts.recompute_deps;
         let mut auto = match caches.automaton.take() {
             Some(a) => Some(a),
             None => use_fused.then(|| {
@@ -347,19 +279,19 @@ impl<'o> Driver<'o> {
 
         loop {
             let applications = totals.points.len();
-            if let Some(ms) = self.timeout_ms {
+            if let Some(ms) = opts.timeout_ms {
                 if started.elapsed().as_millis() as u64 > ms {
                     return Err(RunError::Timeout { ms });
                 }
             }
             if self.fault_fires(FaultKind::Timeout, applications) {
                 return Err(RunError::Timeout {
-                    ms: self.timeout_ms.unwrap_or(0),
+                    ms: opts.timeout_ms.unwrap_or(0),
                 });
             }
             if self.fault_fires(FaultKind::Fuel, applications) {
                 return Err(RunError::FuelExhausted {
-                    limit: self.fuel.unwrap_or(0),
+                    limit: opts.fuel.unwrap_or(0),
                 });
             }
             if self.fault_fires(FaultKind::Panic, applications) {
@@ -372,7 +304,7 @@ impl<'o> Driver<'o> {
             // by N; the rest stay completely silent in the event stream.
             // Counter totals are unaffected — they flush through
             // `RunTotals`.
-            let sample = self.trace_sample.max(1);
+            let sample = opts.trace_sample.max(1);
             let attempt_rec = rec.as_ref().filter(|r| r.sample(sample));
             let sampled = attempt_rec.is_some();
             // The span closes on every exit from this iteration: explicitly
@@ -453,7 +385,7 @@ impl<'o> Driver<'o> {
                     r.event("search.match", fields);
                 }
             }
-            if let Some(fuel) = self.fuel {
+            if let Some(fuel) = opts.fuel {
                 if totals.search.cost.total() > fuel {
                     return Err(RunError::FuelExhausted { limit: fuel });
                 }
@@ -565,7 +497,7 @@ impl<'o> Driver<'o> {
                 return Ok(totals.report());
             }
 
-            if let Some(cap) = self.max_stmts {
+            if let Some(cap) = growth_cap {
                 if prog.len() > cap {
                     return Err(RunError::GrowthLimit {
                         statements: prog.len(),
@@ -588,23 +520,12 @@ impl<'o> Driver<'o> {
             }
 
             let one_shot = !matches!(mode, ApplyMode::AllPoints);
-            if !one_shot && applications >= self.max_applications {
+            if !one_shot && applications >= opts.max_applications {
                 return Err(RunError::Diverged {
-                    limit: self.max_applications,
+                    limit: opts.max_applications,
                 });
             }
-            // A full re-analysis in place of a refresh: the ledger counts
-            // it and the next search scans from the top.
-            let reanalyze = |totals: &mut RunTotals| {
-                let t = Instant::now();
-                let g = analyze(prog)?;
-                totals.reanalyses += 1;
-                if let Some(r) = attempt_rec {
-                    r.observe_n("dep.analyze_ns", ns_since(t), sample);
-                }
-                Ok::<_, RunError>(g)
-            };
-            if !self.recompute_deps {
+            if !opts.recompute_deps {
                 // Stale-graph mode: positions in the old graph no longer
                 // track the program, so never filter the next search.
                 current = false;
@@ -614,7 +535,7 @@ impl<'o> Driver<'o> {
                     // Zero-edit application: the program is untouched, so
                     // the graph is still exact — skip the refresh entirely.
                     resume_pt = None;
-                } else if self.incremental_deps {
+                } else if opts.incremental_deps {
                     // Probe: a "missed invalidation" — the refresh below is
                     // silently skipped, leaving the graph stale. Only the
                     // verifier (or a later healing full analysis) can
@@ -626,52 +547,33 @@ impl<'o> Driver<'o> {
                         current = false;
                         resume_pt = None;
                     } else {
+                        // An update fails only on a malformed program,
+                        // which a full analysis would reject alike.
                         let update_started = Instant::now();
-                        match deps.update(prog, &delta) {
-                            Ok(up) => {
-                                totals.dep_update(&up);
-                                if let Some(r) = attempt_rec {
-                                    r.observe_n("dep.update_ns", ns_since(update_started), sample);
-                                    // Sized for every field up front; the
-                                    // frontier is its statement index, so
-                                    // nothing is formatted.
-                                    let mut fields = Vec::with_capacity(5);
-                                    fields.extend([
-                                        ("kind", Value::str(update_kind_name(up.kind))),
-                                        ("dirty_syms", Value::us(up.stats.dirty_syms)),
-                                        ("edges_dropped", Value::us(up.stats.edges_dropped)),
-                                        ("edges_added", Value::us(up.stats.edges_added)),
-                                    ]);
-                                    if let Some(f) = up.frontier {
-                                        fields.push(("frontier", Value::us(f.index())));
-                                    }
-                                    r.event("dep.update", fields);
-                                }
-                                resume_pt = up.frontier;
+                        let up = deps
+                            .update(prog, &delta)
+                            .map_err(|e| RunError::Analyze(e.to_string()))?;
+                        totals.dep_update(&up);
+                        if let Some(r) = attempt_rec {
+                            r.observe_n("dep.update_ns", ns_since(update_started), sample);
+                            // Sized for every field up front; the frontier
+                            // is its statement index, so nothing is
+                            // formatted.
+                            let mut fields = Vec::with_capacity(5);
+                            fields.extend([
+                                ("kind", Value::str(update_kind_name(up.kind))),
+                                ("dirty_syms", Value::us(up.stats.dirty_syms)),
+                                ("edges_dropped", Value::us(up.stats.edges_dropped)),
+                                ("edges_added", Value::us(up.stats.edges_added)),
+                            ]);
+                            if let Some(f) = up.frontier {
+                                fields.push(("frontier", Value::us(f.index())));
                             }
-                            Err(e) if self.degraded_recovery => {
-                                // Ladder: a failed incremental update falls
-                                // back to a full analysis instead of
-                                // aborting the run.
-                                totals.degraded_update_failed += 1;
-                                if let Some(r) = rec.as_ref() {
-                                    r.event(
-                                        "search.degraded",
-                                        &[
-                                            ("optimizer", Value::str(self.opt.name.clone())),
-                                            ("reason", Value::str("dep_update_failed")),
-                                            ("error", Value::str(e.to_string())),
-                                        ],
-                                    );
-                                }
-                                deps = reanalyze(&mut totals)?;
-                                resume_pt = None;
-                                current = true;
-                            }
-                            Err(e) => return Err(RunError::Analyze(e.to_string())),
+                            r.event("dep.update", fields);
                         }
+                        resume_pt = up.frontier;
                     }
-                    if self.verify_deps {
+                    if opts.verify_deps {
                         let fresh = analyze(prog)?;
                         let ok = deps.agrees_with(&fresh);
                         if let Some(r) = rec.as_ref() {
@@ -681,7 +583,7 @@ impl<'o> Driver<'o> {
                             // Verified exact — even a skipped refresh turned
                             // out to have no dependence effect.
                             current = true;
-                        } else if self.degraded_recovery {
+                        } else if opts.degraded_recovery {
                             // Ladder: adopt the fresh graph and rebuild
                             // the automaton, whose delta-replay argument
                             // the divergence just voided.
@@ -718,7 +620,14 @@ impl<'o> Driver<'o> {
                     // never be searched again; skip the wasted analysis.
                     current = false;
                 } else {
-                    deps = reanalyze(&mut totals)?;
+                    // A full re-analysis in place of a refresh: the ledger
+                    // counts it and the next search scans from the top.
+                    let t = Instant::now();
+                    deps = analyze(prog)?;
+                    totals.reanalyses += 1;
+                    if let Some(r) = attempt_rec {
+                        r.observe_n("dep.analyze_ns", ns_since(t), sample);
+                    }
                     resume_pt = None;
                 }
             }
@@ -903,7 +812,6 @@ struct RunTotals<'o> {
     fused_states: u64,
     fused_visits: u64,
     degraded_divergence: u64,
-    degraded_update_failed: u64,
 }
 
 impl RunTotals<'_> {
@@ -983,10 +891,6 @@ impl RunTotals<'_> {
             ("search.fused.visits", self.fused_visits),
             ("search.degraded.stale_order", search.degraded_stale_order),
             ("search.degraded.dep_divergence", self.degraded_divergence),
-            (
-                "search.degraded.dep_update_failed",
-                self.degraded_update_failed,
-            ),
         ];
         let mut items: Vec<(Name, u64)> =
             Vec::with_capacity(names.funnel.len() + fixed.len() + 1 + search.dep_rejects.len());
@@ -1151,8 +1055,8 @@ mod tests {
             minifor("program p\ninteger x, y, z\nx = 3\ny = x\nz = y\nwrite z\nend").unwrap();
         let opt = ctp();
         let mut d = Driver::new(&opt);
-        d.verify_deps = true;
-        d.degraded_recovery = false;
+        d.options.verify_deps = true;
+        d.options.degraded_recovery = false;
         d.fault = Some(FaultPlan::new(FaultKind::CorruptDeps));
         let err = d
             .apply(&mut prog, ApplyMode::AllPoints)
@@ -1189,12 +1093,12 @@ mod tests {
 
         let mut full_prog = minifor(src).unwrap();
         let mut d = Driver::new(&opt);
-        d.incremental_deps = false;
+        d.options.incremental_deps = false;
         let full = d.apply(&mut full_prog, ApplyMode::AllPoints).unwrap();
 
         let mut incr_prog = minifor(src).unwrap();
         let mut d = Driver::new(&opt);
-        d.incremental_deps = true;
+        d.options.incremental_deps = true;
         let incr = d.apply(&mut incr_prog, ApplyMode::AllPoints).unwrap();
 
         assert_eq!(full.applications, incr.applications);
@@ -1276,8 +1180,8 @@ mod tests {
         .unwrap();
         let opt = ctp();
         let mut d = Driver::new(&opt);
-        d.incremental_deps = true;
-        d.trace_sample = 100;
+        d.options.incremental_deps = true;
+        d.options.trace_sample = 100;
         let rec = std::sync::Arc::new(gospel_trace::Recorder::new());
         d.recorder = Some(rec.clone());
         let report = d.apply(&mut prog, ApplyMode::AllPoints).unwrap();
@@ -1298,10 +1202,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn diverging_spec_hits_budget() {
-        // A pathological spec whose action does not invalidate its own
-        // precondition: copy a statement after itself forever.
+    /// A pathological spec whose action does not invalidate its own
+    /// precondition: copy a statement after itself forever.
+    fn loopy() -> CompiledOptimizer {
         let src = r#"
 OPTIMIZATION LOOPY
 TYPE Stmt: S;
@@ -1313,13 +1216,38 @@ ACTION
 END
 "#;
         let (spec, info) = gospel_lang::parse_validated(src).unwrap();
-        let opt = generate(spec, info).unwrap();
+        generate(spec, info).unwrap()
+    }
+
+    #[test]
+    fn diverging_spec_hits_budget() {
+        let opt = loopy();
         let mut prog = minifor("program p\ninteger x\nx = 1\nend").unwrap();
         let mut d = Driver::new(&opt);
-        d.max_applications = 5;
+        d.options.max_applications = 5;
         assert!(matches!(
             d.apply(&mut prog, ApplyMode::AllPoints),
             Err(RunError::Diverged { limit: 5 })
+        ));
+    }
+
+    #[test]
+    fn bare_driver_enforces_the_growth_cap() {
+        // The cap is a multiple of the statement count on entry: the
+        // first copy doubles the one-statement program past 1×.
+        let opt = loopy();
+        let mut prog = minifor("program p\ninteger x\nx = 1\nend").unwrap();
+        assert_eq!(prog.len(), 1);
+        let mut d = Driver::new(&opt);
+        d.options.max_growth = Some(1);
+        // Without the cap the run would stop at this budget instead.
+        d.options.max_applications = 5;
+        assert!(matches!(
+            d.apply(&mut prog, ApplyMode::AllPoints),
+            Err(RunError::GrowthLimit {
+                statements: 2,
+                limit: 1
+            })
         ));
     }
 }

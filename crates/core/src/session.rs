@@ -13,7 +13,8 @@ use gospel_ir::Program;
 use gospel_trace::Recorder;
 use std::sync::Arc;
 
-/// Session configuration.
+/// The run knobs of a session and of a bare [`Driver`], which applies
+/// them; `SessionOptions::default()` is the one defaults table.
 #[derive(Clone, Copy, Debug)]
 pub struct SessionOptions {
     /// Recompute the dependence graph between applications of one
@@ -22,14 +23,20 @@ pub struct SessionOptions {
     pub recompute_deps: bool,
     /// Maintain the dependence graph incrementally from each application's
     /// edit delta instead of re-running the full analysis (the driver
-    /// falls back to a full `analyze` on structural edits).
+    /// falls back to a full `analyze` on structural edits). Also lets the
+    /// next search resume from the delta's dirty frontier instead of
+    /// rescanning from the top.
     pub incremental_deps: bool,
     /// Cross-check every incremental graph refresh against a fresh full
-    /// analysis; a disagreement fails the `apply` call loudly.
+    /// analysis; a disagreement is healed or fails the `apply` call, as
+    /// `degraded_recovery` says.
     pub verify_deps: bool,
-    /// Per-optimizer application budget.
+    /// Per-optimizer application budget for [`ApplyMode::AllPoints`];
+    /// exceeding it means the specification's actions do not invalidate
+    /// its precondition.
     pub max_applications: usize,
-    /// Wall-clock budget per `apply` call, in milliseconds.
+    /// Wall-clock budget per `apply` call, in milliseconds, checked
+    /// between applications (a single search is never interrupted).
     pub timeout_ms: Option<u64>,
     /// Search-cost budget per `apply` call (see [`Cost::total`]).
     pub fuel: Option<u64>,
@@ -38,18 +45,27 @@ pub struct SessionOptions {
     pub max_growth: Option<u32>,
     /// Which candidate-enumeration machinery drives searches — the fused
     /// catalog automaton or full scans (see [`MatcherKind`]); bindings
-    /// are identical in either mode. Defaults to the fused automaton.
+    /// are identical in either mode. Defaults to the fused automaton,
+    /// which is only consulted while `recompute_deps` keeps program order
+    /// fresh.
     pub matcher: MatcherKind,
-    /// Degrade instead of hard-aborting on dependence-maintenance
-    /// trouble (see [`crate::Driver::degraded_recovery`]). On by default
-    /// for sessions: a session prefers a slower, healed apply over an
-    /// aborted one, and every fall is visible through the
-    /// `search.degraded.<reason>` counters.
+    /// Heal a dependence graph the verifier (`verify_deps`) finds
+    /// diverged from a fresh analysis — adopt the fresh graph and
+    /// reclassify the automaton, counted as
+    /// `search.degraded.dep_divergence` — instead of failing the apply.
+    /// On by default: a run prefers a slower, healed apply over an
+    /// aborted one. Oracles that want a divergence to fail loudly (the
+    /// differential tests, `gospel-bench`'s verified chains) turn it off.
     pub degraded_recovery: bool,
-    /// Attempt-span sampling rate: trace one in every N
-    /// `driver.attempt` spans (`0`/`1` = every attempt). Counters stay
-    /// exact; sampled-in timing observations are weighted by N (see
-    /// [`crate::Driver::trace_sample`]).
+    /// Attempt-span sampling: record the `driver.attempt` span and its
+    /// per-attempt timing observations for one in every N attempts
+    /// (`0`/`1` = every attempt). The 1-in-N phase is the recorder's
+    /// ([`Recorder::sample`]), so it runs on across the runs sharing one
+    /// recorder instead of restarting with every run. Sampled-in spans
+    /// carry a `sample` field and their histogram observations are
+    /// weighted by N, so latency estimates stay unbiased; counters are
+    /// exact regardless. This is what keeps large generator programs
+    /// under the trace-overhead gate.
     pub trace_sample: u64,
 }
 
@@ -253,18 +269,7 @@ impl Session {
         }
         let opt = &optimizers[idx];
         let mut driver = Driver::new(opt);
-        driver.recompute_deps = options.recompute_deps;
-        driver.incremental_deps = options.incremental_deps;
-        driver.verify_deps = options.verify_deps;
-        driver.max_applications = options.max_applications;
-        driver.timeout_ms = options.timeout_ms;
-        driver.fuel = options.fuel;
-        driver.max_stmts = options
-            .max_growth
-            .map(|k| (k as usize).saturating_mul(prog.len().max(1)));
-        driver.matcher = options.matcher;
-        driver.degraded_recovery = options.degraded_recovery;
-        driver.trace_sample = options.trace_sample;
+        driver.options = *options;
         driver.fault = fault.clone();
         driver.recorder = recorder.clone();
         // `apply_with` takes each cache on entry, so an early error below

@@ -66,17 +66,10 @@ pub struct GuardConfig {
     pub step_limit: u64,
     /// Snapshot-ring capacity (older checkpoints fall off the end).
     pub checkpoints: usize,
-    /// Retry an apply once when it fails with a *transient* error
-    /// (wall-clock timeout or fuel exhaustion). The retry is budget-aware:
-    /// the overall wall-clock allowance is twice the session's
-    /// [`SessionOptions::timeout_ms`], and the retry only gets whatever
-    /// of it the first attempt left over.
-    pub retry_transient: bool,
     /// Parole: a first-offense quarantined optimizer becomes eligible for
     /// one retrial after this many *clean* applications of other
-    /// optimizers. A second quarantining offense is permanent. `None`
-    /// disables parole (quarantine is final, the pre-parole behaviour).
-    pub parole_after: Option<usize>,
+    /// optimizers. A second quarantining offense is permanent.
+    pub parole_after: usize,
     /// The wrapped session's options: its budgets (wall clock, fuel,
     /// growth cap), matcher, dependence auditing (`verify_deps`, the
     /// `--validate` belt-and-braces mode), degradation ladder and trace
@@ -92,8 +85,7 @@ impl Default for GuardConfig {
             seed: 0x00C0_FFEE,
             step_limit: 2_000_000,
             checkpoints: 8,
-            retry_transient: true,
-            parole_after: Some(3),
+            parole_after: 3,
             session: SessionOptions {
                 timeout_ms: Some(10_000),
                 max_growth: Some(16),
@@ -239,7 +231,6 @@ pub struct GuardedSession {
     ring: VecDeque<Program>,
     quarantine: BTreeMap<String, QuarantineEntry>,
     reports: Vec<ValidationReport>,
-    recorder: Option<Arc<Recorder>>,
 }
 
 impl GuardedSession {
@@ -261,7 +252,6 @@ impl GuardedSession {
             ring: VecDeque::new(),
             quarantine: BTreeMap::new(),
             reports: Vec::new(),
-            recorder: None,
         }
     }
 
@@ -270,8 +260,7 @@ impl GuardedSession {
     /// attempt spans with the guard's validation/rollback/quarantine
     /// events in causal order.
     pub fn set_recorder(&mut self, rec: Option<Arc<Recorder>>) {
-        self.session.set_recorder(rec.clone());
-        self.recorder = rec;
+        self.session.set_recorder(rec);
     }
 
     /// Registers an optimizer (it also leaves quarantine if re-registered
@@ -326,7 +315,7 @@ impl GuardedSession {
 
     /// The attached recorder, if any.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
+        self.session.recorder()
     }
 
     /// Restores the program as it was `n` successful-or-attempted applies
@@ -359,7 +348,7 @@ impl GuardedSession {
         // Deliberately not `guard.rollback`: that event is reserved for
         // validation-caused restores (the trace contract pairs each one
         // with a preceding validation failure).
-        if let Some(r) = self.recorder.as_ref() {
+        if let Some(r) = self.session.recorder() {
             r.add("guard.user_rollbacks", 1);
             r.event("guard.user_rollback", &[("depth", Value::us(n))]);
         }
@@ -375,18 +364,18 @@ impl GuardedSession {
     /// parole-eligible. A parole-eligible first offender gets one trial
     /// run instead of a skip: success releases it, a second quarantining
     /// offense revokes parole permanently. Transient run errors (timeout,
-    /// fuel) get one budget-aware retry when
-    /// [`GuardConfig::retry_transient`] is set.
+    /// fuel) get one budget-aware retry: the overall wall-clock allowance
+    /// is twice the session's [`SessionOptions::timeout_ms`], and the
+    /// retry only gets whatever of it the first attempt left over.
     ///
     /// # Errors
     ///
     /// Only caller errors propagate: an unknown optimizer name.
     pub fn apply(&mut self, name: &str, mode: ApplyMode) -> Result<GuardOutcome, RunError> {
         let parole_trial = if let Some(entry) = self.quarantine.get(&normalize(name)) {
-            let eligible =
-                self.config.parole_after.is_some() && entry.parolable() && entry.parole_in == 0;
+            let eligible = entry.parolable() && entry.parole_in == 0;
             if !eligible {
-                if let Some(r) = self.recorder.as_ref() {
+                if let Some(r) = self.session.recorder() {
                     r.add("guard.skips", 1);
                     r.event(
                         "guard.skip",
@@ -407,7 +396,7 @@ impl GuardedSession {
             false
         };
         let guard_span = Span::open(
-            self.recorder.as_ref(),
+            self.session.recorder(),
             "guard.apply",
             &[
                 ("optimizer", Value::str(name.to_string())),
@@ -439,7 +428,7 @@ impl GuardedSession {
                 attempt,
                 Ok(Err(RunError::Timeout { .. } | RunError::FuelExhausted { .. }))
             );
-            if !(transient && self.config.retry_transient && !retried) {
+            if !transient || retried {
                 break attempt;
             }
             // Budget-aware retry: the overall wall-clock allowance is 2×
@@ -464,7 +453,7 @@ impl GuardedSession {
             if let Some(ms) = remaining {
                 self.session.options_mut().timeout_ms = Some(ms);
             }
-            if let Some(r) = self.recorder.as_ref() {
+            if let Some(r) = self.session.recorder() {
                 r.add("guard.transient_retries", 1);
                 r.event(
                     "guard.transient_retry",
@@ -509,7 +498,7 @@ impl GuardedSession {
             Ok(Ok(apply_report)) => {
                 match self.validate(&canonical, &checkpoint, &baselines) {
                     None => {
-                        if let Some(r) = self.recorder.as_ref() {
+                        if let Some(r) = self.session.recorder() {
                             r.add("guard.validations", 1);
                             r.event(
                                 "guard.validate",
@@ -546,7 +535,7 @@ impl GuardedSession {
                 // A non-incriminating failure (budget, plain run error):
                 // back to quarantine, earn another trial the same way.
                 if let Some(entry) = self.quarantine.get_mut(&normalize(&canonical)) {
-                    entry.parole_in = self.config.parole_after.unwrap_or(0);
+                    entry.parole_in = self.config.parole_after;
                 }
                 self.parole_event(&canonical, "deferred");
             }
@@ -558,7 +547,7 @@ impl GuardedSession {
     /// Emits the parole counter/event pair (`outcome` is one of `trial`,
     /// `released`, `revoked`, `deferred`).
     fn parole_event(&self, name: &str, outcome: &str) {
-        if let Some(r) = self.recorder.as_ref() {
+        if let Some(r) = self.session.recorder() {
             r.add("guard.parole", 1);
             r.event(
                 "guard.parole",
@@ -662,7 +651,7 @@ impl GuardedSession {
     ) -> ValidationReport {
         // Trace contract: the validation-failure event always precedes the
         // rollback (and quarantine) events it causes.
-        if let Some(r) = self.recorder.as_ref() {
+        if let Some(r) = self.session.recorder() {
             r.add("guard.validations", 1);
             r.add("guard.rejections", 1);
             let stage_name = stage.to_string();
@@ -681,7 +670,7 @@ impl GuardedSession {
         // The checkpoint equals the restored state; keeping it would make
         // rollback(1) a no-op, so drop it.
         self.ring.pop_back();
-        if let Some(r) = self.recorder.as_ref() {
+        if let Some(r) = self.session.recorder() {
             r.add("guard.rollbacks", 1);
             r.event(
                 "guard.rollback",
@@ -706,8 +695,8 @@ impl GuardedSession {
                 });
             entry.reason = format!("[{stage}] {detail}");
             entry.offenses += 1;
-            entry.parole_in = self.config.parole_after.unwrap_or(0);
-            if let Some(r) = self.recorder.as_ref() {
+            entry.parole_in = self.config.parole_after;
+            if let Some(r) = self.session.recorder() {
                 r.add("guard.quarantines", 1);
                 r.event(
                     "guard.quarantine",
@@ -921,7 +910,7 @@ mod tests {
     #[test]
     fn parole_release_and_revoke_keep_the_fused_automaton_consistent() {
         let config = GuardConfig {
-            parole_after: Some(1),
+            parole_after: 1,
             ..GuardConfig::default()
         };
         let audit_catalog = [gospel_opts::by_name("CTP"), gospel_opts::by_name("DCE")];

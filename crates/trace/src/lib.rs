@@ -13,11 +13,8 @@
 //! plain strings, so new subsystems can add events without touching this
 //! crate.
 //!
-//! With the `record` feature disabled (it is on by default) the whole API
-//! compiles to inline no-ops: spans are inert, counters vanish, and
-//! [`Recorder::drain_events`] returns nothing, so untraced builds pay
-//! zero cost. With the feature *enabled* but no recorder installed in a
-//! driver or session, the cost is one `Option` check per probe.
+//! With no recorder installed in a driver or session, the cost is one
+//! `Option` check per probe.
 //!
 //! ```
 //! use gospel_trace::{Recorder, Span, Value};
@@ -39,10 +36,12 @@
 pub mod json;
 pub mod report;
 
-#[cfg(feature = "record")]
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// An event or counter name, or a string field value: a `&'static str`
 /// literal (the overwhelmingly common case) or an owned dynamic string.
@@ -119,7 +118,7 @@ impl From<String> for Name {
 pub type Fields = Vec<(&'static str, Value)>;
 
 // ---------------------------------------------------------------------------
-// shared data model (compiled regardless of the `record` feature)
+// data model
 // ---------------------------------------------------------------------------
 
 /// A structured field value attached to an event.
@@ -456,595 +455,442 @@ impl MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// recording implementation
+// the recorder
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "record")]
-mod imp {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
+#[derive(Debug, Default)]
+struct Inner {
+    seq: u64,
+    next_span: u64,
+    open_spans: u64,
+    events: Vec<Event>,
+    /// Index of the first event in `events` not yet folded into
+    /// `counters` (see [`Inner::settle`]).
+    unsettled: usize,
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, HistogramSnapshot>,
+}
 
-    #[derive(Debug, Default)]
-    struct Inner {
-        seq: u64,
-        next_span: u64,
-        open_spans: u64,
-        events: Vec<Event>,
-        /// Index of the first event in `events` not yet folded into
-        /// `counters` (see [`Inner::settle`]).
-        unsettled: usize,
-        counters: BTreeMap<String, u64>,
-        histograms: BTreeMap<String, HistogramSnapshot>,
-    }
-
-    impl Inner {
-        /// Grows a full event buffer in large steps: Event is a wide
-        /// struct, and a hot driver loop pushes hundreds per run.
-        fn make_room(events: &mut Vec<Event>) {
-            if events.capacity() == events.len() {
-                events.reserve(256);
-            }
-        }
-
-        /// Folds the counter events recorded since the last settle into
-        /// the totals, stamping each with its running total. Recording a
-        /// counter only appends its event; every reader of totals or
-        /// events settles first, so each event is folded exactly once, in
-        /// recording order, and off the recording path.
-        fn settle(&mut self) {
-            for ev in &mut self.events[self.unsettled..] {
-                let Payload::Counter { delta, value } = &mut ev.payload else {
-                    continue;
-                };
-                let delta = *delta;
-                let total = match self.counters.get_mut(ev.name.as_str()) {
-                    Some(t) => {
-                        *t = t.saturating_add(delta);
-                        *t
-                    }
-                    None => {
-                        self.counters.insert(ev.name.to_string(), delta);
-                        delta
-                    }
-                };
-                *value = total;
-            }
-            self.unsettled = self.events.len();
+impl Inner {
+    /// Grows a full event buffer in large steps: Event is a wide
+    /// struct, and a hot driver loop pushes hundreds per run.
+    fn make_room(events: &mut Vec<Event>) {
+        if events.capacity() == events.len() {
+            events.reserve(256);
         }
     }
 
-    /// Thread-safe event/metric collector. See the crate docs.
-    #[derive(Debug)]
-    pub struct Recorder {
-        created: Instant,
-        /// Calls to [`Recorder::sample`] so far.
-        ticks: AtomicU64,
-        inner: Mutex<Inner>,
-    }
-
-    impl Default for Recorder {
-        fn default() -> Self {
-            Recorder::new()
-        }
-    }
-
-    impl Recorder {
-        /// A fresh recorder with an empty buffer.
-        pub fn new() -> Recorder {
-            Recorder {
-                created: Instant::now(),
-                ticks: AtomicU64::new(0),
-                inner: Mutex::new(Inner::default()),
-            }
-        }
-
-        /// Systematic 1-in-`every` sampling over this recorder's lifetime:
-        /// true for the first call and every `every`-th call after it
-        /// (`0`/`1` = every call). The phase is shared by everything
-        /// recording here, so the sampled fraction holds across runs no
-        /// matter how few attempts each run makes. The tick is a plain
-        /// load and store, not a read-modify-write: this runs on every
-        /// driver attempt, and calls racing from two threads merely
-        /// share a tick, which shifts the phase but not the fraction.
-        pub fn sample(&self, every: u64) -> bool {
-            let tick = self.ticks.load(Ordering::Relaxed);
-            self.ticks.store(tick.wrapping_add(1), Ordering::Relaxed);
-            tick.is_multiple_of(every.max(1))
-        }
-
-        fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-            // A panic while holding this mutex cannot corrupt it (only
-            // Vec/BTreeMap pushes happen inside); recover the data.
-            self.inner.lock().unwrap_or_else(|p| p.into_inner())
-        }
-
-        fn ts_ns(&self) -> u64 {
-            u64::try_from(self.created.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        }
-
-        fn push(&self, inner: &mut Inner, mut event: Event) {
-            event.seq = inner.seq;
-            inner.seq += 1;
-            Inner::make_room(&mut inner.events);
-            inner.events.push(event);
-        }
-
-        /// Records an instant event.
-        pub fn event(&self, name: &'static str, fields: impl Into<Fields>) {
-            let fields = fields.into();
-            let ts_ns = self.ts_ns();
-            let mut inner = self.lock();
-            let event = Event {
-                seq: 0,
-                ts_ns,
-                kind: EventKind::Instant,
-                name: Name::Static(name),
-                payload: Payload::None,
-                fields,
+    /// Folds the counter events recorded since the last settle into
+    /// the totals, stamping each with its running total. Recording a
+    /// counter only appends its event; every reader of totals or
+    /// events settles first, so each event is folded exactly once, in
+    /// recording order, and off the recording path.
+    fn settle(&mut self) {
+        for ev in &mut self.events[self.unsettled..] {
+            let Payload::Counter { delta, value } = &mut ev.payload else {
+                continue;
             };
-            self.push(&mut inner, event);
-        }
-
-        /// Adds `delta` to counter `name` and records a counter event
-        /// carrying the new running total (stamped when the event is
-        /// read). Counters only ever increase, so the emitted `value`
-        /// sequence is monotone per name.
-        pub fn add(&self, name: impl Into<Name>, delta: u64) {
-            let ts_ns = self.ts_ns();
-            let mut inner = self.lock();
-            self.bump(&mut inner, ts_ns, name.into(), delta);
-        }
-
-        /// Adds every `(name, delta)` pair under one lock acquisition —
-        /// the cheap way to flush a batch of counters accumulated locally
-        /// by a hot loop. Each pair still emits its own counter event.
-        pub fn add_many(&self, items: impl IntoIterator<Item = (Name, u64)>) {
-            let mut items = items.into_iter().peekable();
-            if items.peek().is_none() {
-                return;
-            }
-            let ts_ns = self.ts_ns();
-            Self::push_counters(&mut self.lock(), ts_ns, items);
-        }
-
-        /// The instant event `name`, then [`Recorder::add_many`]'s
-        /// counter events, under one lock acquisition and one clock
-        /// read: what a run-end flush records.
-        pub fn event_and_add_many(
-            &self,
-            name: &'static str,
-            fields: impl Into<Fields>,
-            items: impl IntoIterator<Item = (Name, u64)>,
-        ) {
-            let fields = fields.into();
-            let ts_ns = self.ts_ns();
-            let mut inner = self.lock();
-            let event = Event {
-                seq: 0,
-                ts_ns,
-                kind: EventKind::Instant,
-                name: Name::Static(name),
-                payload: Payload::None,
-                fields,
-            };
-            self.push(&mut inner, event);
-            Self::push_counters(&mut inner, ts_ns, items);
-        }
-
-        fn push_counters(
-            inner: &mut Inner,
-            ts_ns: u64,
-            items: impl IntoIterator<Item = (Name, u64)>,
-        ) {
-            Inner::make_room(&mut inner.events);
-            // One `extend` rather than a push per pair: the events are
-            // written straight into the buffer, numbered as they go.
-            let mut seq = inner.seq;
-            inner.events.extend(items.into_iter().map(|(name, delta)| {
-                seq += 1;
-                Event {
-                    seq: seq - 1,
-                    ts_ns,
-                    kind: EventKind::Counter,
-                    name,
-                    payload: Payload::Counter { delta, value: 0 },
-                    fields: Vec::new(),
+            let delta = *delta;
+            let total = match self.counters.get_mut(ev.name.as_str()) {
+                Some(t) => {
+                    *t = t.saturating_add(delta);
+                    *t
                 }
-            }));
-            inner.seq = seq;
+                None => {
+                    self.counters.insert(ev.name.to_string(), delta);
+                    delta
+                }
+            };
+            *value = total;
         }
+        self.unsettled = self.events.len();
+    }
+}
 
-        /// Records a counter event; its running total is filled in when
-        /// the event is settled.
-        fn bump(&self, inner: &mut Inner, ts_ns: u64, name: Name, delta: u64) {
-            let event = Event {
-                seq: 0,
+/// Thread-safe event/metric collector. See the crate docs.
+#[derive(Debug)]
+pub struct Recorder {
+    created: Instant,
+    /// Calls to [`Recorder::sample`] so far.
+    ticks: AtomicU64,
+    inner: Mutex<Inner>,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
+    }
+}
+
+impl Recorder {
+    /// A fresh recorder with an empty buffer.
+    pub fn new() -> Recorder {
+        Recorder {
+            created: Instant::now(),
+            ticks: AtomicU64::new(0),
+            inner: Mutex::new(Inner::default()),
+        }
+    }
+
+    /// Systematic 1-in-`every` sampling over this recorder's lifetime:
+    /// true for the first call and every `every`-th call after it
+    /// (`0`/`1` = every call). The phase is shared by everything
+    /// recording here, so the sampled fraction holds across runs no
+    /// matter how few attempts each run makes. The tick is a plain
+    /// load and store, not a read-modify-write: this runs on every
+    /// driver attempt, and calls racing from two threads merely
+    /// share a tick, which shifts the phase but not the fraction.
+    pub fn sample(&self, every: u64) -> bool {
+        let tick = self.ticks.load(Ordering::Relaxed);
+        self.ticks.store(tick.wrapping_add(1), Ordering::Relaxed);
+        tick.is_multiple_of(every.max(1))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        // A panic while holding this mutex cannot corrupt it (only
+        // Vec/BTreeMap pushes happen inside); recover the data.
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn ts_ns(&self) -> u64 {
+        u64::try_from(self.created.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    fn push(&self, inner: &mut Inner, mut event: Event) {
+        event.seq = inner.seq;
+        inner.seq += 1;
+        Inner::make_room(&mut inner.events);
+        inner.events.push(event);
+    }
+
+    /// Records an instant event.
+    pub fn event(&self, name: &'static str, fields: impl Into<Fields>) {
+        let fields = fields.into();
+        let ts_ns = self.ts_ns();
+        let mut inner = self.lock();
+        let event = Event {
+            seq: 0,
+            ts_ns,
+            kind: EventKind::Instant,
+            name: Name::Static(name),
+            payload: Payload::None,
+            fields,
+        };
+        self.push(&mut inner, event);
+    }
+
+    /// Adds `delta` to counter `name` and records a counter event
+    /// carrying the new running total (stamped when the event is
+    /// read). Counters only ever increase, so the emitted `value`
+    /// sequence is monotone per name.
+    pub fn add(&self, name: impl Into<Name>, delta: u64) {
+        let ts_ns = self.ts_ns();
+        let mut inner = self.lock();
+        self.bump(&mut inner, ts_ns, name.into(), delta);
+    }
+
+    /// Adds every `(name, delta)` pair under one lock acquisition —
+    /// the cheap way to flush a batch of counters accumulated locally
+    /// by a hot loop. Each pair still emits its own counter event.
+    pub fn add_many(&self, items: impl IntoIterator<Item = (Name, u64)>) {
+        let mut items = items.into_iter().peekable();
+        if items.peek().is_none() {
+            return;
+        }
+        let ts_ns = self.ts_ns();
+        Self::push_counters(&mut self.lock(), ts_ns, items);
+    }
+
+    /// The instant event `name`, then [`Recorder::add_many`]'s
+    /// counter events, under one lock acquisition and one clock
+    /// read: what a run-end flush records.
+    pub fn event_and_add_many(
+        &self,
+        name: &'static str,
+        fields: impl Into<Fields>,
+        items: impl IntoIterator<Item = (Name, u64)>,
+    ) {
+        let fields = fields.into();
+        let ts_ns = self.ts_ns();
+        let mut inner = self.lock();
+        let event = Event {
+            seq: 0,
+            ts_ns,
+            kind: EventKind::Instant,
+            name: Name::Static(name),
+            payload: Payload::None,
+            fields,
+        };
+        self.push(&mut inner, event);
+        Self::push_counters(&mut inner, ts_ns, items);
+    }
+
+    fn push_counters(inner: &mut Inner, ts_ns: u64, items: impl IntoIterator<Item = (Name, u64)>) {
+        Inner::make_room(&mut inner.events);
+        // One `extend` rather than a push per pair: the events are
+        // written straight into the buffer, numbered as they go.
+        let mut seq = inner.seq;
+        inner.events.extend(items.into_iter().map(|(name, delta)| {
+            seq += 1;
+            Event {
+                seq: seq - 1,
                 ts_ns,
                 kind: EventKind::Counter,
                 name,
                 payload: Payload::Counter { delta, value: 0 },
                 fields: Vec::new(),
-            };
-            self.push(inner, event);
-        }
-
-        /// Records one observation (typically nanoseconds) into histogram
-        /// `name`. Histograms feed the metrics table only; they do not
-        /// emit per-observation events.
-        pub fn observe(&self, name: &str, value: u64) {
-            self.observe_n(name, value, 1);
-        }
-
-        /// Records `weight` observations of `value` into histogram
-        /// `name` under one lock acquisition. The sampling controller
-        /// observes 1-in-N spans with weight N so the histogram stays an
-        /// unbiased estimate of the full population.
-        pub fn observe_n(&self, name: &str, value: u64, weight: u64) {
-            if weight == 0 {
-                return;
             }
-            let mut inner = self.lock();
-            match inner.histograms.get_mut(name) {
-                Some(h) => h.record(value, weight),
-                None => {
-                    let mut h = HistogramSnapshot::default();
-                    h.record(value, weight);
-                    inner.histograms.insert(name.to_string(), h);
-                }
-            }
-        }
+        }));
+        inner.seq = seq;
+    }
 
-        /// A point-in-time copy of every counter and histogram total.
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            let mut inner = self.lock();
-            inner.settle();
-            MetricsSnapshot {
-                counters: inner
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
-                histograms: inner
-                    .histograms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
+    /// Records a counter event; its running total is filled in when
+    /// the event is settled.
+    fn bump(&self, inner: &mut Inner, ts_ns: u64, name: Name, delta: u64) {
+        let event = Event {
+            seq: 0,
+            ts_ns,
+            kind: EventKind::Counter,
+            name,
+            payload: Payload::Counter { delta, value: 0 },
+            fields: Vec::new(),
+        };
+        self.push(inner, event);
+    }
+
+    /// Records one observation (typically nanoseconds) into histogram
+    /// `name`. Histograms feed the metrics table only; they do not
+    /// emit per-observation events.
+    pub fn observe(&self, name: &str, value: u64) {
+        self.observe_n(name, value, 1);
+    }
+
+    /// Records `weight` observations of `value` into histogram
+    /// `name` under one lock acquisition. The sampling controller
+    /// observes 1-in-N spans with weight N so the histogram stays an
+    /// unbiased estimate of the full population.
+    pub fn observe_n(&self, name: &str, value: u64, weight: u64) {
+        if weight == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.record(value, weight),
+            None => {
+                let mut h = HistogramSnapshot::default();
+                h.record(value, weight);
+                inner.histograms.insert(name.to_string(), h);
             }
         }
+    }
 
-        /// Opens a span; returns `(id, open_ts_ns)` so the close can
-        /// derive the elapsed time from one clock read.
-        pub(super) fn span_open(&self, name: &'static str, fields: Fields) -> (u64, u64) {
-            let ts_ns = self.ts_ns();
-            let mut inner = self.lock();
-            inner.next_span += 1;
-            inner.open_spans += 1;
-            let id = inner.next_span;
-            let event = Event {
-                seq: 0,
-                ts_ns,
-                kind: EventKind::SpanOpen,
-                name: Name::Static(name),
-                payload: Payload::Span(id),
-                fields,
-            };
-            self.push(&mut inner, event);
-            (id, ts_ns)
-        }
-
-        pub(super) fn span_close(
-            &self,
-            id: u64,
-            name: &'static str,
-            open_ts_ns: u64,
-            mut fields: Fields,
-        ) {
-            let ts_ns = self.ts_ns();
-            fields.push((
-                "elapsed_ns",
-                Value::UInt(ts_ns.saturating_sub(open_ts_ns)),
-            ));
-            let mut inner = self.lock();
-            inner.open_spans = inner.open_spans.saturating_sub(1);
-            let event = Event {
-                seq: 0,
-                ts_ns,
-                kind: EventKind::SpanClose,
-                name: Name::Static(name),
-                payload: Payload::Span(id),
-                fields,
-            };
-            self.push(&mut inner, event);
-        }
-
-        /// Takes every buffered event, leaving the buffer empty (counters
-        /// and histograms keep their totals).
-        pub fn drain_events(&self) -> Vec<Event> {
-            let mut inner = self.lock();
-            inner.settle();
-            inner.unsettled = 0;
-            std::mem::take(&mut inner.events)
-        }
-
-        /// Number of spans currently open (opened but not yet closed).
-        pub fn open_spans(&self) -> u64 {
-            self.lock().open_spans
-        }
-
-        /// Counter totals, sorted by name.
-        pub fn counters(&self) -> Vec<(String, u64)> {
-            let mut inner = self.lock();
-            inner.settle();
-            inner
+    /// A point-in-time copy of every counter and histogram total.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut inner = self.lock();
+        inner.settle();
+        MetricsSnapshot {
+            counters: inner
                 .counters
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
-                .collect()
-        }
-
-        /// The total of one counter (zero when never incremented).
-        pub fn counter(&self, name: &str) -> u64 {
-            let mut inner = self.lock();
-            inner.settle();
-            inner.counters.get(name).copied().unwrap_or(0)
-        }
-
-        /// Histogram snapshots, sorted by name.
-        pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-            self.lock()
+                .collect(),
+            histograms: inner
                 .histograms
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
-                .collect()
+                .collect(),
         }
+    }
 
-        /// Renders counters and histograms as an aligned end-of-run
-        /// summary (the `--metrics` table).
-        pub fn metrics_table(&self) -> String {
-            use std::fmt::Write as _;
-            let mut out = String::new();
-            let counters = self.counters();
-            if !counters.is_empty() {
-                let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0).max(7);
-                let _ = writeln!(out, "{:<width$} {:>12}", "counter", "total");
-                for (name, total) in &counters {
-                    let _ = writeln!(out, "{name:<width$} {total:>12}");
-                }
+    /// Opens a span; returns `(id, open_ts_ns)` so the close can
+    /// derive the elapsed time from one clock read.
+    fn span_open(&self, name: &'static str, fields: Fields) -> (u64, u64) {
+        let ts_ns = self.ts_ns();
+        let mut inner = self.lock();
+        inner.next_span += 1;
+        inner.open_spans += 1;
+        let id = inner.next_span;
+        let event = Event {
+            seq: 0,
+            ts_ns,
+            kind: EventKind::SpanOpen,
+            name: Name::Static(name),
+            payload: Payload::Span(id),
+            fields,
+        };
+        self.push(&mut inner, event);
+        (id, ts_ns)
+    }
+
+    fn span_close(&self, id: u64, name: &'static str, open_ts_ns: u64, mut fields: Fields) {
+        let ts_ns = self.ts_ns();
+        fields.push((
+            "elapsed_ns",
+            Value::UInt(ts_ns.saturating_sub(open_ts_ns)),
+        ));
+        let mut inner = self.lock();
+        inner.open_spans = inner.open_spans.saturating_sub(1);
+        let event = Event {
+            seq: 0,
+            ts_ns,
+            kind: EventKind::SpanClose,
+            name: Name::Static(name),
+            payload: Payload::Span(id),
+            fields,
+        };
+        self.push(&mut inner, event);
+    }
+
+    /// Takes every buffered event, leaving the buffer empty (counters
+    /// and histograms keep their totals).
+    pub fn drain_events(&self) -> Vec<Event> {
+        let mut inner = self.lock();
+        inner.settle();
+        inner.unsettled = 0;
+        std::mem::take(&mut inner.events)
+    }
+
+    /// Number of spans currently open (opened but not yet closed).
+    pub fn open_spans(&self) -> u64 {
+        self.lock().open_spans
+    }
+
+    /// Counter totals, sorted by name.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        let mut inner = self.lock();
+        inner.settle();
+        inner
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
+    }
+
+    /// The total of one counter (zero when never incremented).
+    pub fn counter(&self, name: &str) -> u64 {
+        let mut inner = self.lock();
+        inner.settle();
+        inner.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Histogram snapshots, sorted by name.
+    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+        self.lock()
+            .histograms
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
+    }
+
+    /// Renders counters and histograms as an aligned end-of-run
+    /// summary (the `--metrics` table).
+    pub fn metrics_table(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let counters = self.counters();
+        if !counters.is_empty() {
+            let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0).max(7);
+            let _ = writeln!(out, "{:<width$} {:>12}", "counter", "total");
+            for (name, total) in &counters {
+                let _ = writeln!(out, "{name:<width$} {total:>12}");
             }
-            let hists = self.histograms();
-            if !hists.is_empty() {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                let width = hists.iter().map(|(k, _)| k.len()).max().unwrap_or(0).max(9);
+        }
+        let hists = self.histograms();
+        if !hists.is_empty() {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            let width = hists.iter().map(|(k, _)| k.len()).max().unwrap_or(0).max(9);
+            let _ = writeln!(
+                out,
+                "{:<width$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                "histogram", "count", "mean", "p50", "p90", "p99", "max"
+            );
+            for (name, h) in &hists {
                 let _ = writeln!(
                     out,
-                    "{:<width$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                    "histogram", "count", "mean", "p50", "p90", "p99", "max"
+                    "{name:<width$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                    h.count,
+                    h.mean(),
+                    h.quantile_upper(50),
+                    h.quantile_upper(90),
+                    h.quantile_upper(99),
+                    h.max
                 );
-                for (name, h) in &hists {
-                    let _ = writeln!(
-                        out,
-                        "{name:<width$} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                        h.count,
-                        h.mean(),
-                        h.quantile_upper(50),
-                        h.quantile_upper(90),
-                        h.quantile_upper(99),
-                        h.max
-                    );
-                }
             }
-            out
         }
+        out
     }
+}
 
-    /// An open span. Dropping it closes the span (so error paths cannot
-    /// leak an unbalanced open); [`Span::close`] attaches outcome fields.
-    #[derive(Debug)]
-    pub struct Span {
-        rec: Option<Arc<Recorder>>,
-        id: u64,
+/// An open span. Dropping it closes the span (so error paths cannot
+/// leak an unbalanced open); [`Span::close`] attaches outcome fields.
+#[derive(Debug)]
+pub struct Span {
+    rec: Option<Arc<Recorder>>,
+    id: u64,
+    name: &'static str,
+    open_ts_ns: u64,
+}
+
+impl Span {
+    /// Opens a span on `rec`; with `None` the span is inert.
+    pub fn open(
+        rec: Option<&Arc<Recorder>>,
         name: &'static str,
-        open_ts_ns: u64,
-    }
-
-    impl Span {
-        /// Opens a span on `rec`; with `None` the span is inert.
-        pub fn open(
-            rec: Option<&Arc<Recorder>>,
-            name: &'static str,
-            fields: impl Into<Fields>,
-        ) -> Span {
-            match rec {
-                Some(r) => {
-                    let (id, open_ts_ns) = r.span_open(name, fields.into());
-                    Span {
-                        rec: Some(Arc::clone(r)),
-                        id,
-                        name,
-                        open_ts_ns,
-                    }
+        fields: impl Into<Fields>,
+    ) -> Span {
+        match rec {
+            Some(r) => {
+                let (id, open_ts_ns) = r.span_open(name, fields.into());
+                Span {
+                    rec: Some(Arc::clone(r)),
+                    id,
+                    name,
+                    open_ts_ns,
                 }
-                None => Span {
-                    rec: None,
-                    id: 0,
-                    name: "",
-                    open_ts_ns: 0,
-                },
             }
-        }
-
-        /// An inert span (records nothing).
-        pub fn none() -> Span {
-            Span::open(None, "", Fields::new())
-        }
-
-        /// Nanoseconds since the span opened (zero for an inert span).
-        pub fn elapsed_ns(&self) -> u64 {
-            match &self.rec {
-                Some(r) => r.ts_ns().saturating_sub(self.open_ts_ns),
-                None => 0,
-            }
-        }
-
-        /// Closes the span, attaching `fields` to the close event.
-        pub fn close(mut self, fields: impl Into<Fields>) {
-            if let Some(rec) = self.rec.take() {
-                rec.span_close(self.id, self.name, self.open_ts_ns, fields.into());
-            }
+            None => Span {
+                rec: None,
+                id: 0,
+                name: "",
+                open_ts_ns: 0,
+            },
         }
     }
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some(rec) = self.rec.take() {
-                rec.span_close(self.id, self.name, self.open_ts_ns, Fields::new());
-            }
+    /// An inert span (records nothing).
+    pub fn none() -> Span {
+        Span::open(None, "", Fields::new())
+    }
+
+    /// Nanoseconds since the span opened (zero for an inert span).
+    pub fn elapsed_ns(&self) -> u64 {
+        match &self.rec {
+            Some(r) => r.ts_ns().saturating_sub(self.open_ts_ns),
+            None => 0,
+        }
+    }
+
+    /// Closes the span, attaching `fields` to the close event.
+    pub fn close(mut self, fields: impl Into<Fields>) {
+        if let Some(rec) = self.rec.take() {
+            rec.span_close(self.id, self.name, self.open_ts_ns, fields.into());
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// no-op implementation (feature `record` disabled)
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "record"))]
-mod imp {
-    use super::*;
-    use std::sync::Arc;
-
-    /// No-op recorder: every method is an empty inline function.
-    #[derive(Debug, Default)]
-    pub struct Recorder;
-
-    impl Recorder {
-        /// A recorder that records nothing.
-        #[inline]
-        pub fn new() -> Recorder {
-            Recorder
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(rec) = self.rec.take() {
+            rec.span_close(self.id, self.name, self.open_ts_ns, Fields::new());
         }
-
-        /// Never samples: there is nothing to record.
-        #[inline]
-        pub fn sample(&self, _every: u64) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn event(&self, _name: &'static str, _fields: impl Into<Fields>) {}
-
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _name: impl Into<Name>, _delta: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn add_many(&self, _items: impl IntoIterator<Item = (Name, u64)>) {}
-
-        /// No-op.
-        #[inline]
-        pub fn event_and_add_many(
-            &self,
-            _name: &'static str,
-            _fields: impl Into<Fields>,
-            _items: impl IntoIterator<Item = (Name, u64)>,
-        ) {
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn observe(&self, _name: &str, _value: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn observe_n(&self, _name: &str, _value: u64, _weight: u64) {}
-
-        /// Always empty.
-        #[inline]
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::default()
-        }
-
-        /// Always empty.
-        #[inline]
-        pub fn drain_events(&self) -> Vec<Event> {
-            Vec::new()
-        }
-
-        /// Always zero.
-        #[inline]
-        pub fn open_spans(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        #[inline]
-        pub fn counters(&self) -> Vec<(String, u64)> {
-            Vec::new()
-        }
-
-        /// Always zero.
-        #[inline]
-        pub fn counter(&self, _name: &str) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        #[inline]
-        pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        #[inline]
-        pub fn metrics_table(&self) -> String {
-            String::new()
-        }
-    }
-
-    /// Inert span.
-    #[derive(Debug)]
-    pub struct Span;
-
-    impl Span {
-        /// Inert: records nothing.
-        #[inline]
-        pub fn open(
-            _rec: Option<&Arc<Recorder>>,
-            _name: &'static str,
-            _fields: impl Into<Fields>,
-        ) -> Span {
-            Span
-        }
-
-        /// Inert span.
-        #[inline]
-        pub fn none() -> Span {
-            Span
-        }
-
-        /// Always zero.
-        #[inline]
-        pub fn elapsed_ns(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn close(self, _fields: impl Into<Fields>) {}
     }
 }
 
-pub use imp::{Recorder, Span};
-
-#[cfg(all(test, feature = "record"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counters_are_monotone_and_sequenced() {

@@ -12,7 +12,9 @@
 //! no matter how anchor candidates are enumerated — fused automaton or
 //! the plain scan.
 
-use genesis::{ApplyMode, CompiledOptimizer, Driver, MatcherKind, Session, SessionOptions};
+use genesis::{
+    ApplyMode, CompiledOptimizer, Driver, MatcherKind, Session, SessionCaches, SessionOptions,
+};
 use gospel_dep::DepGraph;
 use gospel_exec::{run_limited, ExecValue, Trace};
 use gospel_ir::{DisplayProgram, Program};
@@ -72,14 +74,14 @@ fn run_mode(
     incremental: bool,
 ) -> (Program, usize, Option<DepGraph>) {
     let mut work = prog.clone();
-    let mut cache = None;
+    let mut caches = SessionCaches::new();
     let mut d = Driver::new(opt);
-    d.matcher = matcher;
-    d.incremental_deps = incremental;
+    d.options.matcher = matcher;
+    d.options.incremental_deps = incremental;
     let report = d
-        .apply_cached(&mut work, mode, &mut cache)
+        .apply_with(&mut work, mode, &mut caches)
         .unwrap_or_else(|e| panic!("{}: {e}", opt.name));
-    (work, report.applications, cache)
+    (work, report.applications, caches.deps)
 }
 
 /// Executes `prog` on the deterministic vector battery, plus the empty
@@ -173,12 +175,15 @@ fn chained_catalog_sequence_is_mode_independent() {
     for (matcher, wname, prog) in cases() {
         let run_chain = |incremental: bool| -> Program {
             let mut work = prog.clone();
-            let mut cache = None;
+            let mut caches = SessionCaches::new();
             for opt in &opts {
+                // Only the dependence graph carries over: the automaton a
+                // bare driver builds covers just its own optimizer.
+                caches.automaton = None;
                 let mut d = Driver::new(opt);
-                d.matcher = matcher;
-                d.incremental_deps = incremental;
-                d.apply_cached(&mut work, natural_mode(opt), &mut cache)
+                d.options.matcher = matcher;
+                d.options.incremental_deps = incremental;
+                d.apply_with(&mut work, natural_mode(opt), &mut caches)
                     .unwrap_or_else(|e| panic!("{wname}/{}: {e}", opt.name));
             }
             work

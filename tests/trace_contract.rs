@@ -257,9 +257,7 @@ fn record_parole_run() -> Vec<Event> {
         "the injected panic must quarantine CTP: {out:?}"
     );
     gs.set_fault(None);
-    let clean_applies = GuardConfig::default()
-        .parole_after
-        .expect("parole is on by default");
+    let clean_applies = GuardConfig::default().parole_after;
     for _ in 0..clean_applies {
         gs.apply("DCE", ApplyMode::AllPoints).unwrap();
     }
